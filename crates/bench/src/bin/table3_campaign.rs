@@ -18,7 +18,6 @@
 //!   of the collect-everything engine; prints the per-key summary and
 //!   pipeline stats, and `--report-out` writes the normalized
 //!   `StreamReport` (mergeable across shards)
-//! * `--queue-depth N` — bounded work-queue capacity (streaming)
 //! * `--shard i/n` — run only slots `i, i+n, i+2n, …` of the grid;
 //!   shard reports merge back to the unsharded report byte-for-byte
 //! * `--synthetic-cells N` — size of the synthetic streamed grid entry
@@ -52,7 +51,6 @@ struct Options {
     /// `None` runs the default 1/4/8 sweep.
     jobs: Option<usize>,
     stream: bool,
-    queue_depth: Option<usize>,
     shard: Option<Shard>,
     /// `None` = default policy (~100k for the full sweep, 0 otherwise).
     synthetic_cells: Option<u64>,
@@ -69,7 +67,6 @@ fn parse_args() -> Options {
     let mut opts = Options {
         jobs: None,
         stream: false,
-        queue_depth: None,
         shard: None,
         synthetic_cells: None,
         no_tlb: false,
@@ -96,13 +93,6 @@ fn parse_args() -> Options {
                 }));
             }
             "--stream" => opts.stream = true,
-            "--queue-depth" => {
-                let raw = value("--queue-depth");
-                opts.queue_depth = Some(raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--queue-depth needs a positive integer, got '{raw}'");
-                    exit(2);
-                }));
-            }
             "--shard" => {
                 let raw = value("--shard");
                 opts.shard = Some(Shard::parse(&raw).unwrap_or_else(|e| {
@@ -132,7 +122,7 @@ fn parse_args() -> Options {
             other => {
                 eprintln!("unknown argument '{other}'");
                 eprintln!(
-                    "usage: table3_campaign [--jobs N] [--stream] [--queue-depth N] \
+                    "usage: table3_campaign [--jobs N] [--stream] \
                      [--shard i/n] [--synthetic-cells N] [--no-tlb] [--chunk-frames N] \
                      [--report-out FILE] [--trace-out FILE] [--metrics-out FILE] [--json]"
                 );
@@ -251,9 +241,6 @@ fn configured_campaign(opts: &Options, workers: usize) -> Campaign {
     if let Some(chunk) = opts.chunk_frames {
         campaign = campaign.world_factory(standard_world_factory(Some(chunk)));
     }
-    if let Some(depth) = opts.queue_depth {
-        campaign = campaign.queue_depth(depth);
-    }
     if let Some(shard) = opts.shard {
         campaign = campaign.shard(shard);
     }
@@ -271,18 +258,13 @@ fn print_stream(outcome: &StreamOutcome) {
     );
     let s = outcome.stats;
     println!(
-        "  pipeline: {} workers, queue depth {}, {:.1} ms, {:.0} cells/sec, \
-         peak resident {} cells",
+        "  pipeline: {} workers, {:.1} ms, {:.0} cells/sec, peak resident {} cells",
         s.workers,
-        s.queue_depth,
         s.elapsed_us as f64 / 1000.0,
         s.cells_per_sec,
         s.peak_resident_cells,
     );
-    println!(
-        "  stalls: generator {} us, workers {} us; merge {} us, base-world wait {} us",
-        s.queue_stall_us, s.worker_stall_us, s.merge_us, s.base_world_wait_us,
-    );
+    println!("  merge {} us, base-world wait {} us", s.merge_us, s.base_world_wait_us);
 }
 
 /// `BENCH_campaign.json`: the classic throughput sweep under `table3`,
@@ -527,14 +509,12 @@ fn main() {
     {
         let flight_workers = opts.jobs.unwrap_or(4);
         let flight_campaign = || {
-            let mut campaign = paper_campaign().trials(100).jobs(flight_workers);
+            let campaign = paper_campaign().trials(100).jobs(flight_workers);
             if opts.no_tlb {
-                campaign = campaign.use_tlb(false);
+                campaign.use_tlb(false)
+            } else {
+                campaign
             }
-            if let Some(depth) = opts.queue_depth {
-                campaign = campaign.queue_depth(depth);
-            }
-            campaign
         };
         eprintln!(
             "measuring flight-recorder overhead (paper grid x100 trials, \
@@ -581,8 +561,8 @@ fn main() {
         });
     }
 
-    // The synthetic ~100k-cell streamed grid: proves the pipeline holds
-    // O(workers + queue depth) cells resident regardless of grid size.
+    // The synthetic ~100k-cell streamed grid: proves the executor holds
+    // at most one cell per worker resident regardless of grid size.
     // Default-on for the full sweep, off for explicit `--jobs` runs (CI
     // determinism steps stay fast); `--synthetic-cells` overrides.
     let synthetic_cells = opts.synthetic_cells.unwrap_or(if opts.jobs.is_none() { 100_002 } else { 0 });
@@ -594,29 +574,23 @@ fn main() {
         // writes (per-cell metrics recording is not free and must be
         // paid identically on both sides).
         let plain_registry = MetricsRegistry::new();
-        let mut campaign =
+        let campaign =
             synthetic_campaign(SYNTHETIC_SEED, trials).metrics(plain_registry.clone());
-        if let Some(depth) = opts.queue_depth {
-            campaign = campaign.queue_depth(depth);
-        }
         eprintln!("streaming the synthetic grid ({} cells, {workers} workers) ...", trials * 3);
         let outcome = campaign.run_streaming_with_jobs(workers);
         let stats = outcome.stats;
         assert!(
-            stats.peak_resident_cells <= stats.queue_depth + stats.workers + 1,
-            "resident cells must be O(workers + queue depth): peak {} > {} + {} + 1",
+            stats.peak_resident_cells <= stats.workers,
+            "resident cells must be at most one per worker: peak {} > {} workers",
             stats.peak_resident_cells,
-            stats.queue_depth,
             stats.workers,
         );
         println!(
             "\nsynthetic streamed grid: {} cells at {:.0} cells/sec, peak resident {} \
-             (bound {} = queue depth {} + workers {} + 1)",
+             (bound = {} workers)",
             outcome.report.cells,
             stats.cells_per_sec,
             stats.peak_resident_cells,
-            stats.queue_depth + stats.workers + 1,
-            stats.queue_depth,
             stats.workers,
         );
         stream_entries.push(outcome.bench_entry(format!("synthetic_{}", trials * 3)));

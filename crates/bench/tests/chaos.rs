@@ -22,7 +22,6 @@ fn chaotic() -> Campaign {
         .chaos(ChaosConfig::standard(CHAOS_SEED))
         .retries(1)
         .cell_deadline(DEADLINE)
-        .queue_depth(16)
 }
 
 #[test]

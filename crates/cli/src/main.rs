@@ -50,7 +50,8 @@ COMMANDS:
                    [--extensions]  include the extension use cases
                    [--json]        emit the raw cell report as JSON
                    [--jobs <n>]    worker threads (default: hardware threads)
-                   [--cell-deadline-ms <n>]  per-cell watchdog deadline (default: none)
+                   [--cell-deadline-ms <n>]  per-cell deadline, checked when the
+                                   cell returns (default: none)
                    [--retries <n>] extra boot attempts for transient failures (default 0)
                    [--trace-out <file>]    write the structured trace as JSONL
                    [--metrics-out <file>]  write the metrics snapshot as JSON
@@ -61,9 +62,8 @@ COMMANDS:
                                    of two, reports are byte-identical at any
                                    size)
                    [--stream]      bounded-memory streaming engine: per-key summary
-                                   instead of per-cell tables, O(workers + queue)
+                                   instead of per-cell tables, O(workers)
                                    resident memory, mergeable reports
-                   [--queue-depth <n>]  work-queue capacity for --stream
                    [--shard <i/n>] run only slots i, i+n, i+2n, ... of the grid;
                                    merging the n shard reports ('report merge')
                                    reproduces the unsharded report byte-for-byte
@@ -81,7 +81,7 @@ COMMANDS:
                                    synced, never read by recovery)
                    [--chaos-seed <n>]  deterministic fault injection: seeded
                                    worker panics, transient boots, slowdowns,
-                                   queue stalls, torn journal writes (implies
+                                   claim stalls, torn journal writes (implies
                                    --stream; same seed => same faults at any
                                    --jobs count)
                    [--progress]    live progress line on stderr (done/total,
@@ -119,7 +119,8 @@ COMMANDS:
                    [--retries <n>]  retry budget for boots and panicking trials (default 0)
     benchmark    score and rank versions by erroneous-state handling
                    [--jobs <n>]    worker threads (default: hardware threads)
-                   [--cell-deadline-ms <n>]  per-cell watchdog deadline (default: none)
+                   [--cell-deadline-ms <n>]  per-cell deadline, checked when the
+                                   cell returns (default: none)
                    [--retries <n>] extra boot attempts for transient failures (default 0)
                    [--trace-out <file>]    write the structured trace as JSONL
                    [--metrics-out <file>]  write the metrics snapshot as JSON
@@ -227,7 +228,7 @@ fn parse_retries(p: &Parsed) -> Result<u32, String> {
         .map_err(|_| "--retries must be a number".to_owned())
 }
 
-/// Parses `--cell-deadline-ms` into the optional watchdog deadline.
+/// Parses `--cell-deadline-ms` into the optional per-cell deadline.
 fn parse_cell_deadline(p: &Parsed) -> Result<Option<Duration>, String> {
     match p.get_or("cell-deadline-ms", "0").parse::<u64>() {
         Ok(0) => Ok(None),
@@ -256,11 +257,6 @@ fn configure_campaign(mut campaign: Campaign, p: &Parsed) -> Result<Campaign, St
     let trials: u64 =
         p.get_or("trials", "1").parse().map_err(|_| "--trials must be a number".to_owned())?;
     campaign = campaign.trials(trials);
-    if let Some(raw) = p.options.get("queue-depth") {
-        let depth: usize =
-            raw.parse().map_err(|_| "--queue-depth must be a number".to_owned())?;
-        campaign = campaign.queue_depth(depth);
-    }
     if let Some(raw) = p.options.get("shard") {
         campaign = campaign.shard(Shard::parse(raw).map_err(|e| format!("--shard: {e}"))?);
     }
@@ -462,13 +458,10 @@ fn cmd_campaign(p: &Parsed) -> Result<CliOutcome, String> {
         println!("{}", outcome.report.render_keys());
         let s = outcome.stats;
         println!(
-            "pipeline: {} workers, queue depth {}, {:.0} cells/sec, peak resident {} cells",
-            s.workers, s.queue_depth, s.cells_per_sec, s.peak_resident_cells,
+            "pipeline: {} workers, {:.0} cells/sec, peak resident {} cells",
+            s.workers, s.cells_per_sec, s.peak_resident_cells,
         );
-        println!(
-            "stalls: generator {} us, workers {} us; merge {} us, base-world wait {} us",
-            s.queue_stall_us, s.worker_stall_us, s.merge_us, s.base_world_wait_us,
-        );
+        println!("merge {} us, base-world wait {} us", s.merge_us, s.base_world_wait_us);
         if outcome.report.degraded > 0 {
             eprintln!(
                 "warning: {} cell(s) degraded (crash / deadline / boot failure)",
@@ -1069,8 +1062,6 @@ mod tests {
                 "--stream".into(),
                 "--jobs".into(),
                 "2".into(),
-                "--queue-depth".into(),
-                "4".into(),
             ];
             argv.extend(extra);
             run(argv).unwrap()
@@ -1281,7 +1272,7 @@ mod tests {
         assert!(dump_files > 0, "a degraded chaos run must leave forensic dumps");
         let samples = std::fs::read_to_string(&timeline).unwrap();
         assert!(samples.contains("progress.done"), "timeline carries progress: {samples}");
-        assert!(samples.contains("queue.depth"), "timeline carries stream gauges");
+        assert!(samples.contains("resident.cells"), "timeline carries stream gauges");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(timeline).ok();
         let err = run(vec![

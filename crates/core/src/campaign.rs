@@ -3,16 +3,17 @@
 //! Figs. 2/4.
 
 use crate::chaos::{splitmix64, ChaosConfig, ChaosPolicy, ChaosSink, ChaosUseCase};
-use crate::checkpoint::{fnv64, slot_digest, CheckpointSession, JournalSink};
+use crate::checkpoint::{fnv64, slot_digest, CheckpointSession, JournalSink, SlotBuffer};
 use crate::error::{panic_payload, CampaignError, CellId, CellOutcome, CheckpointError};
+use crate::executor::{self, SlotPlan};
 use crate::injector::ArbitraryAccessInjector;
 use crate::monitor::SecurityViolation;
 use crate::obs_bridge;
 use crate::report::{TextTable, CHECK, SHIELD};
 use crate::scenario::{Mode, UseCase};
 use crate::stream::{
-    BoundedQueue, CellSpec, GridFingerprint, PartialFold, ResidentGauge, Shard, SpecGrid,
-    StreamOutcome, StreamRunStats,
+    CellSpec, GridFingerprint, PartialFold, ResidentGauge, Shard, SpecGrid, StreamOutcome,
+    StreamRunStats,
 };
 use crate::telemetry::{self, Telemetry};
 use guestos::{BootError, World, WorldBuilder};
@@ -22,12 +23,12 @@ use hvsim_obs::{
     MetricsTimeline, TraceCtx, Tracer, DEFAULT_FLIGHT_CAPACITY,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
+use std::collections::BTreeSet;
+use std::fmt::{self, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Builds a fresh world for one campaign cell: `(version,
@@ -74,15 +75,6 @@ pub fn standard_world_factory(chunk_frames: Option<usize>) -> WorldFactory {
         }
         builder.build()
     })
-}
-
-/// Locks a mutex, recovering the data from a poisoned lock. Cell bodies
-/// run under their own panic boundary, so a poisoned slot can only mean
-/// a panic in the tiny bookkeeping window around it — the data is a
-/// plain enum that is always in a consistent state, so recovery is safe
-/// and one crashed worker can never wedge result collection.
-pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Name of the attacker guest in the standard world.
@@ -532,11 +524,11 @@ pub struct CampaignConfig {
     /// Boot each `(version, injector)` base world once and clone it per
     /// cell (on by default via [`Campaign::new`]).
     pub reuse_snapshots: bool,
-    /// Per-cell deadline enforced by a watchdog thread; overrunning
-    /// cells are reported [`CellOutcome::TimedOut`]. `None` disables the
-    /// watchdog. The watchdog is cooperative: it re-labels the slot and
-    /// lets the campaign finish, but a cell body that never returns
-    /// still holds its worker thread until it does.
+    /// Per-cell deadline, checked when the cell returns: a cell that
+    /// would otherwise complete but ran longer is reported
+    /// [`CellOutcome::TimedOut`]; a crash or failed boot keeps its own
+    /// outcome. `None` disables the check. A cell body that never
+    /// returns holds its worker until it does.
     pub cell_deadline: Option<Duration>,
     /// Extra boot attempts for *transient* failures (`-ENOMEM`/`-EBUSY`)
     /// per cell; `0` means fail on the first error.
@@ -551,9 +543,6 @@ pub struct CampaignConfig {
     /// [`UseCase::run_injection_trial`](crate::UseCase::run_injection_trial).
     /// Defaults to 1 (the classic single-shot grid).
     pub trials: u64,
-    /// Bounded work-queue capacity for [`Campaign::run_streaming`];
-    /// `None` picks `max(2 × workers, 8)`.
-    pub queue_depth: Option<usize>,
     /// Run only this shard of the grid (slots congruent to `index`
     /// modulo `count`); `None` runs everything. Merging the `n` shard
     /// reports reproduces the unsharded report byte-for-byte after
@@ -604,7 +593,6 @@ impl Default for CampaignConfig {
             retries: 0,
             disable_tlb: false,
             trials: 1,
-            queue_depth: None,
             shard: None,
             checkpoint_interval: 1024,
             journal_slots: false,
@@ -722,15 +710,6 @@ impl Campaign {
     #[must_use]
     pub fn trials(mut self, trials: u64) -> Self {
         self.config.trials = trials.max(1);
-        self
-    }
-
-    /// Sets the bounded work-queue capacity used by
-    /// [`Campaign::run_streaming`]; `0` or unset picks a default of
-    /// `max(2 × workers, 8)`.
-    #[must_use]
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.config.queue_depth = (depth > 0).then_some(depth);
         self
     }
 
@@ -865,139 +844,31 @@ impl Campaign {
         self.run_with_jobs(self.config.jobs.unwrap_or_else(default_jobs))
     }
 
-    /// Runs every cell on exactly `jobs` worker threads. Cell results
-    /// are slot-indexed, so the report's cell order — and, because each
-    /// cell starts from a pristine world, the cells themselves — are
-    /// identical for every worker count.
+    /// Runs every cell on exactly `jobs` worker threads. Cells fold into
+    /// per-worker vectors that are sorted by slot at the end, so the
+    /// report's cell order — and, because each cell starts from a
+    /// pristine world, the cells themselves — are identical for every
+    /// worker count.
     pub fn run_with_jobs(&self, jobs: usize) -> CampaignReport {
-        let grid = self.grid();
-        let work: Vec<CellSpec> = grid.shard_iter(self.config.shard).collect();
-        if work.is_empty() {
+        if self.grid().shard_len(self.config.shard) == 0 {
             return CampaignReport::default();
         }
-
-        // Shard 0 of the trace belongs to campaign setup; the cell in
-        // grid slot s uses trace shard s + 1. Shard assignment is
-        // positional, so the trace's logical structure is independent
-        // of the worker count.
-        let setup_ctx = self.tracer.ctx(0);
-        let campaign_span = setup_ctx.span("campaign");
-        let base_worlds =
-            self.config.reuse_snapshots.then(|| self.boot_base_worlds(&setup_ctx, &grid));
-
-        let next = AtomicUsize::new(0);
-        let completed = AtomicUsize::new(0);
-        let slots: Vec<Mutex<CellSlot>> =
-            work.iter().map(|_| Mutex::new(CellSlot::Pending)).collect();
-        let workers = jobs.max(1).min(work.len());
-        let flights: Vec<FlightHandle> =
-            (0..workers).map(|_| FlightHandle::new(self.config.flight_capacity)).collect();
-        let telemetry = Telemetry::new(work.len() as u64, workers);
-        std::thread::scope(|scope| {
-            let next = &next;
-            let completed = &completed;
-            let slots = &slots;
-            let work = &work;
-            let base_worlds = &base_worlds;
-            let telemetry = &telemetry;
-            for (worker, flight) in flights.iter().enumerate() {
-                scope.spawn(move || {
-                    // Each worker keeps its own cache of base-world
-                    // handles: the shared map is consulted at most once
-                    // per (version, injector) key per worker, so the
-                    // per-cell hot path never touches a shared lock.
-                    let mut cache: BaseCache = BTreeMap::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&spec) = work.get(i) else {
-                            telemetry.worker_finished(worker);
-                            break;
-                        };
-                        telemetry.beat(worker);
-                        let started = Instant::now();
-                        *lock_recover(&slots[i]) = CellSlot::Running { started };
-                        let ctx = self.tracer.ctx(spec.slot + 1);
-                        let mut cell = self.run_cell_contained(
-                            &ctx,
-                            &*self.use_cases[spec.use_case],
-                            spec.version,
-                            spec.mode,
-                            spec.trial,
-                            base_worlds.as_ref().map(|worlds| (worlds, &mut cache)),
-                            0,
-                            flight,
-                            spec.slot,
-                        );
-                        if cell.degraded() {
-                            cell.flight = flight.tail(spec.slot);
-                        }
-                        let degraded = cell.degraded();
-                        self.finalize_slot(&slots[i], started, cell);
-                        telemetry.cell_done(degraded);
-                        completed.fetch_add(1, Ordering::Release);
-                    }
-                });
-            }
-            if let Some(deadline) = self.config.cell_deadline {
-                let total = work.len();
-                scope.spawn(move || watchdog(slots, completed, total, deadline));
-            }
-            if self.supervisor_wanted() {
-                let supervisor = self.supervisor(&flights);
-                scope.spawn(move || supervisor.run(telemetry, &|_| {}));
-            }
-        });
-
-        let cells: Vec<CellResult> = work
-            .iter()
-            .zip(slots)
-            .map(|(&spec, slot)| {
-                let uc = &*self.use_cases[spec.use_case];
-                match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                    CellSlot::Done(cell) => *cell,
-                    CellSlot::TimedOut { phases } => {
-                        let mut cell = self.timed_out_cell(uc, spec.version, spec.mode, phases);
-                        // The worker attaches tails for cells it saw
-                        // degrade; a watchdog-relabelled slot is only
-                        // known degraded here, so fetch its tail from
-                        // whichever worker ring still holds it.
-                        cell.flight = flights
-                            .iter()
-                            .map(|flight| flight.tail(spec.slot))
-                            .find(|tail| !tail.is_empty())
-                            .unwrap_or_default();
-                        cell
-                    }
-                    // Unreachable — cell bodies are contained, so a
-                    // worker always finalizes its slot — but a lost
-                    // slot degrades one cell, never the collection.
-                    CellSlot::Pending | CellSlot::Running { .. } => self.degraded_cell(
-                        uc,
-                        spec.version,
-                        spec.mode,
-                        CampaignError::HarnessCrash {
-                            payload: "worker abandoned the cell".to_owned(),
-                        },
-                        1,
-                        0,
-                        PhaseTimings::default(),
-                    ),
-                }
-            })
-            .collect();
-        drop(campaign_span);
+        let policy = self.chaos_policy();
+        let run = self.execute(jobs, None, policy.as_deref(), |_| Vec::new());
+        let mut cells: Vec<(u64, CellResult)> = run.folds.into_iter().flatten().collect();
+        cells.sort_unstable_by_key(|&(slot, _)| slot);
+        let cells = cells.into_iter().map(|(_, cell)| cell).collect();
         let mut report = CampaignReport { cells, metrics: None };
-        // Metrics fold in at collection time, after the slot-indexed
+        // Metrics fold in at collection time, after the slot-ordered
         // cells are assembled: counter updates happen in report order,
         // never in worker-scheduling order.
         if let Some(registry) = &self.metrics {
             obs_bridge::record_report_metrics(&report, registry);
             // When chaos is configured the `campaign.chaos.*` counters
             // are always published — zeros distinguish "chaos quiet"
-            // from "chaos off" (the classic engine injects no faults,
-            // so these are always zero here).
+            // from "chaos off".
             if self.config.chaos.is_some() {
-                obs_bridge::record_chaos_metrics(self.chaos_policy().as_deref(), registry);
+                obs_bridge::record_chaos_metrics(policy.as_deref(), registry);
             }
             report.metrics = Some(registry.snapshot());
         }
@@ -1034,46 +905,23 @@ impl Campaign {
         }
     }
 
-    /// Stores a finished cell into its slot, honoring the deadline.
-    fn finalize_slot(&self, slot: &Mutex<CellSlot>, started: Instant, cell: CellResult) {
-        let mut slot = lock_recover(slot);
-        // The watchdog may have abandoned this cell while it ran; a
-        // finished-but-late result is also re-labelled here so deadline
-        // enforcement does not depend on watchdog scheduling.
-        let overran = self
-            .config
-            .cell_deadline
-            .is_some_and(|deadline| started.elapsed() > deadline);
-        if !matches!(*slot, CellSlot::TimedOut { .. }) && !overran {
-            *slot = CellSlot::Done(Box::new(cell));
-        } else {
-            // Keep the finished cell's phase breakdown so the timeout
-            // is attributable to boot/inject/monitor.
-            *slot = CellSlot::TimedOut { phases: Some(cell.phase_us) };
-        }
-    }
-
-    /// Streams every cell of the (possibly sharded) grid through the
-    /// bounded pipeline with the configured worker count. See
-    /// [`Campaign::run_streaming_with_jobs`].
+    /// Streams every cell of the (possibly sharded) grid with the
+    /// configured worker count. See [`Campaign::run_streaming_with_jobs`].
     pub fn run_streaming(&self) -> StreamOutcome {
         self.run_streaming_with_jobs(self.config.jobs.unwrap_or_else(default_jobs))
     }
 
-    /// Streams the grid on exactly `jobs` workers with O(workers +
-    /// queue depth) resident memory: a generator thread lazily emits
-    /// [`CellSpec`]s into a bounded queue (blocking when full), workers
-    /// fold each finished cell into a per-worker partial report and
-    /// drop it, and the partials merge — ordered by first slot — into
-    /// one [`StreamReport`].
+    /// Streams the grid on exactly `jobs` workers with O(workers)
+    /// resident memory: each worker claims the next slot, runs its
+    /// cell, folds it into a per-worker partial report and drops it,
+    /// and the partials merge — ordered by first slot — into one
+    /// [`StreamReport`](crate::StreamReport).
     ///
     /// Every aggregate in the report is a commutative monoid over
     /// per-cell values that depend only on the cell's spec, so the
-    /// normalized report is byte-identical for every worker count,
-    /// queue depth, and sharding. Deadlines are enforced by the same
-    /// post-return check the classic runner applies when a worker
-    /// finishes late; there is no watchdog thread because no slot
-    /// vector exists to re-label.
+    /// normalized report is byte-identical for every worker count and
+    /// sharding. Deadlines are enforced by the same post-return check
+    /// as [`Campaign::run_with_jobs`].
     pub fn run_streaming_with_jobs(&self, jobs: usize) -> StreamOutcome {
         self.stream_impl(jobs, None, self.chaos_policy())
     }
@@ -1110,9 +958,9 @@ impl Campaign {
     }
 
     /// Resumes a checkpointed streaming run from its journal: reloads
-    /// the valid prefix (truncating a torn tail), re-enqueues only the
-    /// slots no durable fold record covers, and merges the recovered
-    /// folds with the fresh ones — so the final normalized report is
+    /// the valid prefix (truncating a torn tail), runs only the slots
+    /// no durable fold record covers, and merges the recovered folds
+    /// with the fresh ones — so the final normalized report is
     /// byte-identical to an uninterrupted run of the same campaign.
     ///
     /// # Errors
@@ -1165,14 +1013,12 @@ impl Campaign {
         }
     }
 
-    /// The streaming engine body shared by plain, checkpointed, and
-    /// resumed runs. With a session, the generator skips slots already
-    /// covered by durable fold records, each worker journals its
-    /// progress (a synced fold record every `checkpoint_interval` slots
-    /// and at drain, plus per-cell slot records when the forensic
-    /// sidecar is enabled), and recovered folds
-    /// merge in exactly like fresh ones. With a chaos policy, slot-
-    /// keyed faults are injected along the way (see [`crate::chaos`]).
+    /// The streaming fold shared by plain, checkpointed, and resumed
+    /// runs: each worker aggregates its cells into a [`PartialFold`]
+    /// and, with a session, journals its progress (a synced fold record
+    /// every `checkpoint_interval` slots and at drain, plus per-cell
+    /// slot records when the forensic sidecar is enabled). Recovered
+    /// folds merge in exactly like fresh ones.
     fn stream_impl(
         &self,
         jobs: usize,
@@ -1180,202 +1026,23 @@ impl Campaign {
         policy: Option<Arc<ChaosPolicy>>,
     ) -> StreamOutcome {
         let run_start = Instant::now();
-        let grid = self.grid();
         let shard = self.config.shard;
-        let total = grid.shard_len(shard);
-        if total == 0 {
+        if self.grid().shard_len(shard) == 0 {
             return StreamOutcome::default();
         }
-        let setup_ctx = self.tracer.ctx(0);
-        let campaign_span = setup_ctx.span("campaign");
-        let base_worlds =
-            self.config.reuse_snapshots.then(|| self.boot_base_worlds(&setup_ctx, &grid));
-        let workers = jobs.max(1).min(usize::try_from(total).unwrap_or(usize::MAX));
-        let queue_depth = self.config.queue_depth.unwrap_or_else(|| (workers * 2).max(8));
-        let queue: BoundedQueue<CellSpec> = BoundedQueue::new(queue_depth);
-        let resident = ResidentGauge::default();
-        let folds: Mutex<Vec<PartialFold>> = Mutex::new(Vec::with_capacity(workers));
         let first_worker = session.as_ref().map_or(1, |s| s.first_worker);
-        let flights: Vec<FlightHandle> =
-            (0..workers).map(|_| FlightHandle::new(self.config.flight_capacity)).collect();
-        let live_total =
-            total.saturating_sub(session.as_ref().map_or(0, CheckpointSession::resumed_slots));
-        let telemetry = Telemetry::new(live_total, workers);
-        {
-            let session = session.as_ref();
-            let policy = policy.as_deref();
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    for spec in grid.shard_iter(shard) {
-                        if session.is_some_and(|s| s.is_done(spec.slot)) {
-                            continue;
-                        }
-                        if let Some(stall) = policy.and_then(|p| p.queue_stall(spec.slot)) {
-                            std::thread::sleep(stall);
-                        }
-                        resident.enter();
-                        queue.push(spec);
-                    }
-                    queue.close();
-                });
-                for (index, flight) in flights.iter().enumerate() {
-                    let worker_id = first_worker + index as u64;
-                    let queue = &queue;
-                    let resident = &resident;
-                    let folds = &folds;
-                    let base_worlds = &base_worlds;
-                    let telemetry = &telemetry;
-                    scope.spawn(move || {
-                        let mut cache: BaseCache = BTreeMap::new();
-                        let mut fold = PartialFold::default();
-                        let mut seq = 0u64;
-                        let mut batch: Vec<u64> = Vec::new();
-                        let mut pending = crate::checkpoint::SlotBuffer::default();
-                        while let Some(spec) = queue.pop() {
-                            telemetry.beat(index);
-                            let started = Instant::now();
-                            let ctx = self.tracer.ctx(spec.slot + 1);
-                            let uc = &*self.use_cases[spec.use_case];
-                            // Chaos decisions are slot-keyed and made
-                            // exactly once, here — the only place that
-                            // knows both the slot and the cell.
-                            let (chaos_panic, chaos_slow, chaos_boot_faults) = policy
-                                .map_or((false, None, 0), |p| {
-                                    (
-                                        p.worker_panic(spec.slot),
-                                        p.slowdown(spec.slot, self.config.cell_deadline),
-                                        p.transient_boot_faults(spec.slot, self.config.retries),
-                                    )
-                                });
-                            // Chaos decisions land in the flight ring
-                            // too: a degraded cell's forensic tail shows
-                            // which fault was injected, not just its
-                            // effect. All three are pure functions of
-                            // (seed, slot), so tails stay deterministic.
-                            if chaos_panic {
-                                flight.record(spec.slot, "chaos/worker_panic", 0);
-                            }
-                            if let Some(slow) = chaos_slow {
-                                flight.record_with(
-                                    spec.slot,
-                                    "chaos/slowdown",
-                                    slow.as_micros() as u64,
-                                    |d| d.push_str("2x deadline"),
-                                );
-                            }
-                            if chaos_boot_faults > 0 {
-                                flight.record_with(spec.slot, "chaos/transient_boots", 0, |d| {
-                                    let _ = write!(d, "faults={chaos_boot_faults}");
-                                });
-                            }
-                            let chaos_uc;
-                            let run_uc: &dyn UseCase = if chaos_panic || chaos_slow.is_some() {
-                                chaos_uc = ChaosUseCase::new(uc, chaos_panic, chaos_slow);
-                                &chaos_uc
-                            } else {
-                                uc
-                            };
-                            // Forced transient boots take the fresh-boot
-                            // path (snapshot clones are proven identical
-                            // to fresh boots, so the report is unmoved).
-                            let worlds = if chaos_boot_faults > 0 {
-                                None
-                            } else {
-                                base_worlds.as_ref().map(|worlds| (worlds, &mut cache))
-                            };
-                            let mut cell = self.run_cell_contained(
-                                &ctx,
-                                run_uc,
-                                spec.version,
-                                spec.mode,
-                                spec.trial,
-                                worlds,
-                                chaos_boot_faults,
-                                flight,
-                                spec.slot,
-                            );
-                            if self.config.cell_deadline.is_some_and(|d| started.elapsed() > d) {
-                                flight.record(spec.slot, "cell/deadline_exceeded", 0);
-                                cell = self.timed_out_cell(
-                                    uc,
-                                    spec.version,
-                                    spec.mode,
-                                    Some(cell.phase_us),
-                                );
-                            }
-                            if cell.degraded() {
-                                cell.flight = flight.tail(spec.slot);
-                            }
-                            telemetry.cell_done(cell.degraded());
-                            fold.fold(&spec, &cell);
-                            if let Some(s) = session {
-                                let journal_span = ctx.span("cell/journal");
-                                seq += 1;
-                                s.record_slot(
-                                    &mut pending,
-                                    worker_id,
-                                    seq,
-                                    spec.slot,
-                                    slot_digest(&cell),
-                                );
-                                batch.push(spec.slot);
-                                if batch.len() as u64 >= s.interval {
-                                    seq += 1;
-                                    s.record_fold(
-                                        &mut pending,
-                                        worker_id,
-                                        seq,
-                                        std::mem::take(&mut batch),
-                                        &fold,
-                                    );
-                                }
-                                drop(journal_span);
-                            }
-                            resident.exit();
-                        }
-                        if let Some(s) = session {
-                            if !batch.is_empty() {
-                                seq += 1;
-                                s.record_fold(&mut pending, worker_id, seq, batch, &fold);
-                            }
-                        }
-                        lock_recover(folds).push(fold);
-                        telemetry.worker_finished(index);
-                    });
-                }
-                if self.supervisor_wanted() {
-                    let supervisor = self.supervisor(&flights);
-                    let telemetry = &telemetry;
-                    let queue = &queue;
-                    let resident = &resident;
-                    scope.spawn(move || {
-                        supervisor.run(telemetry, &|values| {
-                            values.push(("queue.depth".to_owned(), queue.len() as u64));
-                            values.push(("resident.cells".to_owned(), resident.current()));
-                            values.push(("resident.peak".to_owned(), resident.peak()));
-                            values.push(("queue.push_stall_us".to_owned(), queue.push_stall_us()));
-                            values.push(("queue.pop_stall_us".to_owned(), queue.pop_stall_us()));
-                            if let Some(s) = session {
-                                let counters = s.writer.counters();
-                                values.push(("checkpoint.slots".to_owned(), counters.slots));
-                                values.push(("checkpoint.folds".to_owned(), counters.folds));
-                                values.push(("checkpoint.syncs".to_owned(), counters.syncs));
-                                values.push(("checkpoint.bytes".to_owned(), counters.bytes));
-                            }
-                            if let Some(p) = policy {
-                                let (panics, boots, slowdowns, stalls, torn) = p.fired();
-                                values.push((
-                                    "chaos.fired".to_owned(),
-                                    panics + boots + slowdowns + stalls + torn,
-                                ));
-                            }
-                        });
-                    });
-                }
-            });
-        }
+        let run = self.execute(jobs, session.as_ref(), policy.as_deref(), |index| StreamFold {
+            fold: PartialFold::default(),
+            journal: session.as_ref().map(|session| WorkerJournal {
+                session,
+                worker_id: first_worker + index as u64,
+                seq: 0,
+                batch: Vec::new(),
+                pending: SlotBuffer::default(),
+            }),
+        });
         let merge_start = Instant::now();
-        let mut parts = folds.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let mut parts: Vec<PartialFold> = run.folds.into_iter().map(|f| f.fold).collect();
         if let Some(s) = &session {
             parts.extend(s.recovered.iter().cloned());
         }
@@ -1387,21 +1054,17 @@ impl Campaign {
             whole.absorb(part);
         }
         let merge_us = merge_start.elapsed().as_micros() as u64;
-        drop(campaign_span);
         let (mut report, phases) = whole.finish();
         report.grid = self.fingerprint();
         report.coverage = vec![shard.unwrap_or(Shard { index: 0, count: 1 })];
         let elapsed_us = (run_start.elapsed().as_micros() as u64).max(1);
         let stats = StreamRunStats {
-            workers: workers as u64,
-            queue_depth: queue_depth as u64,
+            workers: run.workers as u64,
             elapsed_us,
             cells_per_sec: report.completed as f64 * 1_000_000.0 / elapsed_us as f64,
-            peak_resident_cells: resident.peak(),
-            queue_stall_us: queue.push_stall_us(),
-            worker_stall_us: queue.pop_stall_us(),
+            peak_resident_cells: run.peak_resident,
             merge_us,
-            base_world_wait_us: base_worlds.as_ref().map_or(0, BaseWorlds::wait_us),
+            base_world_wait_us: run.base_world_wait_us,
         };
         if let Some(registry) = &self.metrics {
             obs_bridge::record_stream_metrics(&report, &phases, &stats, registry);
@@ -1422,58 +1085,210 @@ impl Campaign {
         StreamOutcome { report, stats }
     }
 
-    /// Boots every `(version, injector_enabled)` base world the grid
-    /// can need, under the setup trace context. A base world that fails
-    /// to boot (or panics the factory) poisons only the cells that need
-    /// it — the error is cloned into each.
-    fn boot_base_worlds(&self, setup_ctx: &TraceCtx, grid: &SpecGrid) -> BaseWorlds {
-        let worlds = BaseWorlds::new(
-            Arc::clone(&self.factory),
-            self.config.retries,
-            self.metrics.clone(),
+    /// Runs the (possibly sharded, possibly resumed) grid on the slot
+    /// executor, folding each finished cell into the per-worker fold
+    /// `new_fold` builds. Every entry point goes through here; they
+    /// differ only in their fold.
+    ///
+    /// Trace context 0 holds the `campaign` span, the cell in grid
+    /// slot `s` uses context `s + 1`, and the base world of key `k`
+    /// boots under context `len + 1 + k`. Assignment is positional, so
+    /// the trace's logical structure is independent of the worker count.
+    fn execute<F: CellFold>(
+        &self,
+        jobs: usize,
+        session: Option<&CheckpointSession>,
+        policy: Option<&ChaosPolicy>,
+        new_fold: impl Fn(usize) -> F,
+    ) -> Executed<F> {
+        let grid = self.grid();
+        let done = |slot| session.is_some_and(|s| s.is_done(slot));
+        let plan = SlotPlan { len: grid.len(), shard: self.config.shard, done: Some(&done) };
+        let total = grid.shard_len(plan.shard);
+        let workers = jobs.max(1).min(usize::try_from(total).unwrap_or(usize::MAX));
+        let campaign_span = self.tracer.ctx(0).span("campaign");
+        let base_worlds =
+            self.config.reuse_snapshots.then(|| BaseWorlds::new(self, grid.len() + 1));
+        let resident = ResidentGauge::default();
+        let flights: Vec<FlightHandle> =
+            (0..workers).map(|_| FlightHandle::new(self.config.flight_capacity)).collect();
+        let resumed = session.map_or(0, CheckpointSession::resumed_slots);
+        let telemetry = Telemetry::new(total.saturating_sub(resumed), workers);
+        let shared = SlotRun {
+            grid: &grid,
+            base_worlds: base_worlds.as_ref(),
+            policy,
+            telemetry: &telemetry,
+            resident: &resident,
+        };
+        let gauges = |values: &mut Vec<(String, u64)>| {
+            values.push(("resident.cells".to_owned(), resident.current()));
+            values.push(("resident.peak".to_owned(), resident.peak()));
+            if let Some(s) = session {
+                let counters = s.writer.counters();
+                values.push(("checkpoint.slots".to_owned(), counters.slots));
+                values.push(("checkpoint.folds".to_owned(), counters.folds));
+                values.push(("checkpoint.syncs".to_owned(), counters.syncs));
+                values.push(("checkpoint.bytes".to_owned(), counters.bytes));
+            }
+            if let Some(p) = policy {
+                let (panics, boots, slowdowns, stalls, torn) = p.fired();
+                values.push(("chaos.fired".to_owned(), panics + boots + slowdowns + stalls + torn));
+            }
+        };
+        let supervisor = self.supervisor_wanted().then(|| self.supervisor(&flights));
+        let sidecar = supervisor.as_ref().map(|s| || s.run(&telemetry, &gauges));
+        let states = flights
+            .iter()
+            .enumerate()
+            .map(|(index, flight)| CellWorker {
+                index,
+                flight: flight.clone(),
+                fold: new_fold(index),
+            })
+            .collect();
+        let boot_bases = base_worlds.as_ref().map(|b| || b.boot_needed(&grid, &plan));
+        let states = executor::execute(
+            &plan,
+            states,
+            |worker, slot| self.run_slot(&shared, worker, slot),
+            |worker| {
+                worker.fold.drain();
+                telemetry.worker_finished(worker.index);
+            },
+            sidecar.as_ref().map(|f| f as &(dyn Fn() + Sync)),
+            boot_bases.as_ref().map(|f| f as &dyn Fn()),
         );
-        let mut map = lock_recover(&worlds.map);
-        for &version in grid.versions() {
-            for &mode in grid.modes() {
-                let injector = mode == Mode::Injection;
-                map.entry((version, injector)).or_insert_with(|| {
-                    let span = setup_ctx.span_with("campaign/snapshot_boot", || {
-                        vec![
-                            ("version".to_owned(), version.to_string()),
-                            ("injector".to_owned(), injector.to_string()),
-                        ]
-                    });
-                    let (world, attempts, backoff_us) = boot_world(
-                        &|v, i| (self.factory)(v, i),
-                        version,
-                        injector,
-                        self.config.retries,
-                    );
-                    if backoff_us > 0 {
-                        if let Some(registry) = &self.metrics {
-                            registry.add(obs_bridge::M_RETRY_BACKOFF_US, backoff_us);
-                        }
-                    }
-                    if let Ok(world) = &world {
-                        obs_bridge::bridge_boot_stages(
-                            setup_ctx,
-                            "campaign/snapshot_boot",
-                            world.boot_trace(),
-                        );
-                    }
-                    setup_ctx.point("campaign/snapshot_boot/result", 0, || {
-                        vec![
-                            ("attempts".to_owned(), attempts.to_string()),
-                            ("ok".to_owned(), world.is_ok().to_string()),
-                        ]
-                    });
-                    drop(span);
-                    Arc::new(world)
-                });
+        drop(campaign_span);
+        Executed {
+            folds: states.into_iter().map(|worker| worker.fold).collect(),
+            workers,
+            peak_resident: resident.peak(),
+            base_world_wait_us: base_worlds.as_ref().map_or(0, BaseWorlds::wait_us),
+        }
+    }
+
+    /// Runs the cell of `slot` on the calling worker and folds it.
+    /// Chaos decisions are slot-keyed and made exactly once, here — the
+    /// only place that knows both the slot and the cell.
+    fn run_slot<F: CellFold>(&self, run: &SlotRun<'_>, worker: &mut CellWorker<F>, slot: u64) {
+        let Some(spec) = run.grid.decode(slot) else {
+            return;
+        };
+        run.telemetry.beat(worker.index);
+        let flight = &worker.flight;
+        // A chaos claim stall delays the cell before its clock starts:
+        // it shapes throughput, never an outcome.
+        if let Some(stall) = run.policy.and_then(|p| p.queue_stall(slot)) {
+            std::thread::sleep(stall);
+        }
+        run.resident.enter();
+        let ctx = self.tracer.ctx(slot + 1);
+        let uc = &*self.use_cases[spec.use_case];
+        let (chaos_panic, chaos_slow, chaos_boot_faults) = run.policy.map_or((false, None, 0), |p| {
+            (
+                p.worker_panic(slot),
+                p.slowdown(slot, self.config.cell_deadline),
+                p.transient_boot_faults(slot, self.config.retries),
+            )
+        });
+        // Chaos decisions land in the flight ring too: a degraded cell's
+        // forensic tail shows which fault was injected, not just its
+        // effect. All three are pure functions of (seed, slot), so tails
+        // stay deterministic.
+        if chaos_panic {
+            flight.record(slot, "chaos/worker_panic", 0);
+        }
+        if let Some(slow) = chaos_slow {
+            flight.record_with(slot, "chaos/slowdown", slow.as_micros() as u64, |d| {
+                d.push_str("2x deadline");
+            });
+        }
+        if chaos_boot_faults > 0 {
+            flight.record_with(slot, "chaos/transient_boots", 0, |d| {
+                let _ = write!(d, "faults={chaos_boot_faults}");
+            });
+        }
+        let chaos_uc;
+        let run_uc: &dyn UseCase = if chaos_panic || chaos_slow.is_some() {
+            chaos_uc = ChaosUseCase::new(uc, chaos_panic, chaos_slow);
+            &chaos_uc
+        } else {
+            uc
+        };
+        // Forced transient boots take the fresh-boot path (snapshot
+        // clones are proven identical to fresh boots, so the report is
+        // unmoved).
+        let worlds = if chaos_boot_faults > 0 { None } else { run.base_worlds };
+        let cell = self.run_cell_contained(&ctx, run_uc, &spec, worlds, chaos_boot_faults, flight);
+        let mut cell = self.apply_deadline(cell, flight, slot);
+        if cell.degraded() {
+            cell.flight = flight.tail(slot);
+        }
+        run.telemetry.cell_done(cell.degraded());
+        worker.fold.fold(&ctx, &spec, cell);
+        run.resident.exit();
+    }
+
+    /// Outcome precedence, decided in one place: the deadline relabels
+    /// a cell `TimedOut` only when the cell would otherwise be
+    /// `Completed` and its own wall-clock time passed the deadline. A
+    /// crash or a failed boot keeps its outcome however long it took.
+    /// The timed-out record keeps the phase breakdown, so the overrun
+    /// is attributable to boot, inject or monitor.
+    fn apply_deadline(&self, cell: CellResult, flight: &FlightHandle, slot: u64) -> CellResult {
+        let Some(deadline) = self.config.cell_deadline else {
+            return cell;
+        };
+        if !matches!(cell.outcome, CellOutcome::Completed)
+            || Duration::from_micros(cell.wall_time_us) <= deadline
+        {
+            return cell;
+        }
+        flight.record(slot, "cell/deadline_exceeded", 0);
+        let deadline_us = deadline.as_micros() as u64;
+        CellResult {
+            erroneous_state: false,
+            violations: Vec::new(),
+            handled: false,
+            notes: Vec::new(),
+            error: Some(CampaignError::Deadline { deadline_us }),
+            outcome: CellOutcome::TimedOut { deadline_us },
+            attempts: 1,
+            wall_time_us: deadline_us,
+            hypercalls: 0,
+            snapshot: SnapshotStats::default(),
+            tlb: TlbStats::default(),
+            flight: Vec::new(),
+            ..cell
+        }
+    }
+
+    /// Boots one world through the factory under the retry policy,
+    /// folding any backoff sleep into the registry. `boot_faults` > 0
+    /// (chaos only) makes the first that many factory calls fail with a
+    /// transient [`BootError`], exercising the real retry/backoff path.
+    fn boot(
+        &self,
+        version: XenVersion,
+        injector: bool,
+        boot_faults: u32,
+    ) -> (Result<World, CampaignError>, u32) {
+        let remaining_faults = std::cell::Cell::new(boot_faults);
+        let (world, attempts, backoff_us) =
+            boot_with_retries(format_args!("{version}/{injector}"), self.config.retries, || {
+                if remaining_faults.get() > 0 {
+                    remaining_faults.set(remaining_faults.get() - 1);
+                    return Err(BootError::transient("chaos", "injected transient boot failure"));
+                }
+                (self.factory)(version, injector)
+            });
+        if backoff_us > 0 {
+            if let Some(registry) = &self.metrics {
+                registry.add(obs_bridge::M_RETRY_BACKOFF_US, backoff_us);
             }
         }
-        drop(map);
-        worlds
+        (world, attempts)
     }
 
     /// Runs one cell on the calling thread with panic containment
@@ -1483,25 +1298,25 @@ impl Campaign {
     /// Each phase runs under a trace span and records its wall-clock
     /// duration in the cell's [`PhaseTimings`] — degraded cells too, so
     /// a crash or timeout is attributable to the phase that ate the
-    /// time. Audit events the cell generated (everything past the
-    /// acquired world's baseline) are bridged into the trace before
-    /// every return.
-    /// `boot_faults` > 0 (chaos only) makes the first that many factory
-    /// calls fail with a transient [`BootError`], exercising the real
-    /// retry/backoff path; the caller forces the fresh-boot arm first.
-    #[allow(clippy::too_many_arguments)]
+    /// time. Time spent waiting for a shared base world to boot is not
+    /// the cell's own work: it shows in the `cell/boot/base_wait` span
+    /// but not in the cell's timings, so it never counts against the
+    /// deadline of whichever cell happened to need the world first.
+    /// Audit events the cell generated (everything past the acquired
+    /// world's baseline) are bridged into the trace before every
+    /// return. `boot_faults` > 0 (chaos only) makes the fresh boot fail
+    /// transiently that many times; the caller forces the fresh-boot
+    /// arm first.
     fn run_cell_contained(
         &self,
         ctx: &TraceCtx,
         uc: &dyn UseCase,
-        version: XenVersion,
-        mode: Mode,
-        trial: u64,
-        worlds: Option<(&BaseWorlds, &mut BaseCache)>,
+        spec: &CellSpec,
+        worlds: Option<&BaseWorlds<'_>>,
         boot_faults: u32,
         flight: &FlightHandle,
-        slot: u64,
     ) -> CellResult {
+        let &CellSpec { slot, version, mode, trial, .. } = spec;
         let start = Instant::now();
         let mut phases = PhaseTimings::default();
         let _cell_span = ctx.span_with("cell", || {
@@ -1522,49 +1337,28 @@ impl Campaign {
         let boot_start = Instant::now();
         let fresh_boot = worlds.is_none();
         // Base-world lookup runs under its own span unconditionally
-        // (one event per reuse-mode cell — deterministic), so any
-        // residual wait on the shared map is visible as self-time in
-        // the trace profiler. With warm per-worker caches it is a
-        // lock-free BTreeMap hit.
-        let acquired = worlds.map(|(worlds, cache)| {
-            let wait_span = ctx.span("cell/boot/base_wait");
-            let base = worlds.get(cache, (version, mode == Mode::Injection));
-            drop(wait_span);
-            base
-        });
-        let (world, attempts, backoff_us) = match acquired.as_deref() {
+        // (one event per reuse-mode cell — deterministic), so a wait on
+        // a booting base world is visible in the trace.
+        let (acquired, shared) = match worlds {
+            Some(worlds) => {
+                let _wait_span = ctx.span("cell/boot/base_wait");
+                let asked = Instant::now();
+                let base = worlds.get(version, mode == Mode::Injection);
+                (Some(base), asked.elapsed())
+            }
+            None => (None, Duration::ZERO),
+        };
+        let (start, boot_start) = (start + shared, boot_start + shared);
+        let (world, attempts) = match acquired {
             Some(Ok(base)) => (
                 catch_unwind(AssertUnwindSafe(|| base.clone())).map_err(|p| {
                     CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) }
                 }),
                 1,
-                0,
             ),
-            Some(Err(e)) => (Err(e.clone()), 1, 0),
-            None => {
-                let remaining_faults = std::cell::Cell::new(boot_faults);
-                boot_world(
-                    &|v, i| {
-                        if remaining_faults.get() > 0 {
-                            remaining_faults.set(remaining_faults.get() - 1);
-                            return Err(BootError::transient(
-                                "chaos",
-                                "injected transient boot failure",
-                            ));
-                        }
-                        (self.factory)(v, i)
-                    },
-                    version,
-                    mode == Mode::Injection,
-                    self.config.retries,
-                )
-            }
+            Some(Err(e)) => (Err(e.clone()), 1),
+            None => self.boot(version, mode == Mode::Injection, boot_faults),
         };
-        if backoff_us > 0 {
-            if let Some(registry) = &self.metrics {
-                registry.add(obs_bridge::M_RETRY_BACKOFF_US, backoff_us);
-            }
-        }
         phases.boot_us = Some(boot_start.elapsed().as_micros() as u64);
         ctx.point("cell/boot/result", 0, || {
             vec![
@@ -1780,117 +1574,213 @@ impl Campaign {
             flight: Vec::new(),
         }
     }
+}
 
-    /// A cell record for a watchdog-abandoned cell. `phases` carries the
-    /// per-phase timings when the worker eventually finished (so the
-    /// overrun is attributable to boot vs inject vs monitor); `None`
-    /// means the worker was still stuck at collection time.
-    fn timed_out_cell(
-        &self,
-        uc: &dyn UseCase,
-        version: XenVersion,
-        mode: Mode,
-        phases: Option<PhaseTimings>,
-    ) -> CellResult {
-        let deadline_us =
-            self.config.cell_deadline.map_or(0, |d| d.as_micros() as u64);
-        let mut cell = self.degraded_cell(
-            uc,
-            version,
-            mode,
-            CampaignError::Deadline { deadline_us },
-            1,
-            deadline_us,
-            phases.unwrap_or_default(),
-        );
-        cell.outcome = CellOutcome::TimedOut { deadline_us };
-        cell
+/// What every slot of one run shares: the grid, the lazily booted base
+/// worlds, the chaos policy and the live gauges.
+struct SlotRun<'a> {
+    grid: &'a SpecGrid,
+    base_worlds: Option<&'a BaseWorlds<'a>>,
+    policy: Option<&'a ChaosPolicy>,
+    telemetry: &'a Telemetry,
+    resident: &'a ResidentGauge,
+}
+
+/// One executor worker of a grid campaign: its index, its flight
+/// recorder, and the fold its cells go into.
+struct CellWorker<F> {
+    index: usize,
+    flight: FlightHandle,
+    fold: F,
+}
+
+/// What [`Campaign::execute`] hands back to its entry point.
+struct Executed<F> {
+    /// Per-worker folds, in first-slot order.
+    folds: Vec<F>,
+    workers: usize,
+    peak_resident: u64,
+    base_world_wait_us: u64,
+}
+
+/// What a grid campaign's workers fold their finished cells into.
+trait CellFold: Send {
+    /// Folds one finished cell; `ctx` is the cell's trace context.
+    fn fold(&mut self, ctx: &TraceCtx, spec: &CellSpec, cell: CellResult);
+
+    /// Called once on the worker's thread after its last cell.
+    fn drain(&mut self) {}
+}
+
+/// The classic fold: keep every cell, tagged with its slot so the
+/// report can be sorted into grid order.
+impl CellFold for Vec<(u64, CellResult)> {
+    fn fold(&mut self, _ctx: &TraceCtx, spec: &CellSpec, cell: CellResult) {
+        self.push((spec.slot, cell));
     }
 }
 
-/// Key of a base world: `(version, injector_enabled)`.
-type BaseKey = (XenVersion, bool);
-
-/// A shared handle to one pre-booted base world (or its boot error,
-/// which poisons only the cells that need that world).
-type BaseRef = Arc<Result<World, CampaignError>>;
-
-/// A worker's private cache of base-world handles. Once a worker has
-/// seen a key, acquiring that base world is a local read — no shared
-/// state on the per-cell hot path.
-type BaseCache = BTreeMap<BaseKey, BaseRef>;
-
-/// The campaign's base worlds: pre-booted once per `(version,
-/// injector)` key behind a mutex that workers consult only on a
-/// per-worker cache miss (at most once per key per worker). The mutex
-/// that used to be on the per-cell path is gone; `wait_us` records the
-/// residual cold-miss wait so the win stays measurable.
-struct BaseWorlds {
-    factory: WorldFactory,
-    retries: u32,
-    map: Mutex<BTreeMap<BaseKey, BaseRef>>,
-    wait_us: AtomicU64,
-    metrics: Option<MetricsRegistry>,
+/// The streaming fold: aggregate each cell, drop it, and journal the
+/// progress when the run is checkpointed.
+struct StreamFold<'a> {
+    fold: PartialFold,
+    journal: Option<WorkerJournal<'a>>,
 }
 
-impl BaseWorlds {
-    fn new(factory: WorldFactory, retries: u32, metrics: Option<MetricsRegistry>) -> Self {
-        Self {
-            factory,
-            retries,
-            map: Mutex::new(BTreeMap::new()),
-            wait_us: AtomicU64::new(0),
-            metrics,
-        }
-    }
+/// One worker's side of a checkpoint session.
+struct WorkerJournal<'a> {
+    session: &'a CheckpointSession,
+    worker_id: u64,
+    seq: u64,
+    /// Slots folded since the worker's last durable fold record.
+    batch: Vec<u64>,
+    pending: SlotBuffer,
+}
 
-    /// The handle for `key`, from the worker's cache when warm. A cold
-    /// miss takes the shared lock (recording the wait) and, for a key
-    /// that was somehow never pre-booted, boots it lazily under the
-    /// lock so the result is still one world per key.
-    fn get(&self, cache: &mut BaseCache, key: BaseKey) -> BaseRef {
-        if let Some(base) = cache.get(&key) {
-            return Arc::clone(base);
-        }
-        let started = Instant::now();
-        let mut map = lock_recover(&self.map);
-        let waited = started.elapsed().as_micros() as u64;
-        if waited > 0 {
-            self.wait_us.fetch_add(waited, Ordering::Relaxed);
-        }
-        let base = Arc::clone(map.entry(key).or_insert_with(|| {
-            let (world, _, backoff_us) =
-                boot_world(&|v, i| (self.factory)(v, i), key.0, key.1, self.retries);
-            if backoff_us > 0 {
-                if let Some(registry) = &self.metrics {
-                    registry.add(obs_bridge::M_RETRY_BACKOFF_US, backoff_us);
-                }
+impl WorkerJournal<'_> {
+    /// Records a durable fold covering the current batch.
+    fn record_fold(&mut self, fold: &PartialFold) {
+        self.seq += 1;
+        let batch = std::mem::take(&mut self.batch);
+        self.session.record_fold(&mut self.pending, self.worker_id, self.seq, batch, fold);
+    }
+}
+
+impl CellFold for StreamFold<'_> {
+    fn fold(&mut self, ctx: &TraceCtx, spec: &CellSpec, cell: CellResult) {
+        self.fold.fold(spec, &cell);
+        if let Some(journal) = &mut self.journal {
+            let _journal_span = ctx.span("cell/journal");
+            journal.seq += 1;
+            if journal.session.writer.slot_recording() {
+                journal.session.record_slot(
+                    &mut journal.pending,
+                    journal.worker_id,
+                    journal.seq,
+                    spec.slot,
+                    slot_digest(&cell),
+                );
             }
-            Arc::new(world)
-        }));
-        drop(map);
-        cache.insert(key, Arc::clone(&base));
+            journal.batch.push(spec.slot);
+            if journal.batch.len() as u64 >= journal.session.interval {
+                journal.record_fold(&self.fold);
+            }
+        }
+    }
+
+    fn drain(&mut self) {
+        if let Some(journal) = &mut self.journal {
+            if !journal.batch.is_empty() {
+                journal.record_fold(&self.fold);
+            }
+        }
+    }
+}
+
+/// Number of `(version, injector)` base-world keys.
+const BASE_KEYS: usize = 2 * XenVersion::ALL.len();
+
+/// The index of base-world key `(version, injector)`.
+fn base_key(version: XenVersion, injector: bool) -> usize {
+    2 * XenVersion::ALL.iter().position(|&v| v == version).unwrap_or(0) + usize::from(injector)
+}
+
+/// The campaign's base worlds, booted lazily on the thread that called
+/// the run while the workers run cells: only the keys the run's slots
+/// need boot, in the order the slots first need them, and a worker
+/// whose cell needs a key that is not booted yet blocks on it. Boots
+/// stay on one thread so their allocations stay in one allocator
+/// arena: booted on the workers, the worlds land in different
+/// per-thread arenas, each arena keeps its own high-water mark across
+/// runs, and peak RSS grows with the worker count. A world that fails
+/// to boot (or panics the factory) poisons only the cells that need
+/// it — each gets a clone of the error.
+struct BaseWorlds<'a> {
+    campaign: &'a Campaign,
+    /// Trace context of key 0; key `k` boots under `first_ctx + k`.
+    first_ctx: u64,
+    keys: [OnceLock<Result<World, CampaignError>>; BASE_KEYS],
+    /// Time workers spent blocked on a key that was still booting.
+    wait_us: AtomicU64,
+}
+
+impl<'a> BaseWorlds<'a> {
+    fn new(campaign: &'a Campaign, first_ctx: u64) -> Self {
+        Self {
+            campaign,
+            first_ctx,
+            keys: std::array::from_fn(|_| OnceLock::new()),
+            wait_us: AtomicU64::new(0),
+        }
+    }
+
+    /// The base world for `(version, injector)`, waiting for its boot
+    /// if it is not booted yet.
+    fn get(&self, version: XenVersion, injector: bool) -> &Result<World, CampaignError> {
+        let cell = &self.keys[base_key(version, injector)];
+        if let Some(base) = cell.get() {
+            return base;
+        }
+        let asked = Instant::now();
+        let base = cell.wait();
+        self.wait_us.fetch_add(asked.elapsed().as_micros() as u64, Ordering::Relaxed);
         base
     }
 
-    /// Total cold-miss wait on the shared map, µs.
+    /// Boots every key the slots of `plan` need, in first-need order.
+    /// A slot's key depends only on the slot modulo trials × modes ×
+    /// versions, and a shard's first that many slots already reach
+    /// every residue the shard can, so the scan stops there. Every key
+    /// ends up set — a panic becomes a harness-crash error — so no
+    /// worker waits forever.
+    fn boot_needed(&self, grid: &SpecGrid, plan: &SlotPlan<'_>) {
+        let keys_period = (grid.modes().len() * grid.versions().len()) as u64;
+        let period = grid.trials().saturating_mul(keys_period);
+        let mut needed = Vec::new();
+        let slots = (0..period).map_while(|ordinal| plan.slot(ordinal));
+        for spec in slots.filter_map(|slot| grid.decode(slot)) {
+            let key = base_key(spec.version, spec.mode == Mode::Injection);
+            if !needed.contains(&key) {
+                needed.push(key);
+            }
+        }
+        for key in needed {
+            self.keys[key].get_or_init(|| {
+                catch_unwind(AssertUnwindSafe(|| self.boot(key))).unwrap_or_else(|p| {
+                    Err(CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) })
+                })
+            });
+        }
+    }
+
+    /// Boots key `key` under its own trace context.
+    fn boot(&self, key: usize) -> Result<World, CampaignError> {
+        let (version, injector) = (XenVersion::ALL[key / 2], key % 2 == 1);
+        let ctx = self.campaign.tracer.ctx(self.first_ctx + key as u64);
+        let span = ctx.span_with("campaign/snapshot_boot", || {
+            vec![
+                ("version".to_owned(), version.to_string()),
+                ("injector".to_owned(), injector.to_string()),
+            ]
+        });
+        let (world, attempts) = self.campaign.boot(version, injector, 0);
+        if let Ok(world) = &world {
+            obs_bridge::bridge_boot_stages(&ctx, "campaign/snapshot_boot", world.boot_trace());
+        }
+        ctx.point("campaign/snapshot_boot/result", 0, || {
+            vec![
+                ("attempts".to_owned(), attempts.to_string()),
+                ("ok".to_owned(), world.is_ok().to_string()),
+            ]
+        });
+        drop(span);
+        world
+    }
+
+    /// Total time workers blocked on a booting key, µs.
     fn wait_us(&self) -> u64 {
         self.wait_us.load(Ordering::Relaxed)
     }
-}
-
-/// One result slot's lifecycle, watched by the deadline watchdog.
-enum CellSlot {
-    /// Not picked up by a worker yet.
-    Pending,
-    /// A worker entered the cell body at `started`.
-    Running { started: Instant },
-    /// The watchdog (or the worker's own post-check) abandoned the cell.
-    /// `phases` is filled in by the worker when it finishes late, so the
-    /// deadline overrun is attributable to a specific phase.
-    TimedOut { phases: Option<PhaseTimings> },
-    /// The cell finished in time.
-    Done(Box<CellResult>),
 }
 
 /// Hard ceiling on total backoff sleep per world boot, µs. Keeps the
@@ -1903,80 +1793,44 @@ const MAX_BOOT_BACKOFF_US: u64 = 20_000;
 /// 5ms), scaled by a deterministic ±25% jitter keyed on `(key,
 /// attempt)` — seeded, not sampled, so reruns sleep the same schedule
 /// and reports stay reproducible.
-pub(crate) fn retry_backoff_us(key: &str, attempt: u32) -> u64 {
+pub(crate) fn retry_backoff_us(key: impl fmt::Display, attempt: u32) -> u64 {
     let base = (200u64 << attempt.min(6).saturating_sub(1)).min(5_000);
     let salt = format!("{key}/{attempt}");
     let jitter = 750 + splitmix64(fnv64(salt.as_bytes())) % 501;
     base * jitter / 1000
 }
 
-/// Boots one world through the factory with panic containment and the
-/// bounded retry policy: transient failures (`BootError::is_transient`)
-/// are retried up to `retries` extra times with deterministic
-/// exponential backoff (total sleep capped at [`MAX_BOOT_BACKOFF_US`]);
-/// deterministic failures and factory panics fail immediately. Returns
-/// the attempts consumed and the backoff slept, µs.
-fn boot_world(
-    factory: &dyn Fn(XenVersion, bool) -> Result<World, BootError>,
-    version: XenVersion,
-    injector: bool,
+/// Calls `factory` with panic containment and the bounded retry policy:
+/// transient failures (`BootError::is_transient`) are retried up to
+/// `retries` extra times with deterministic exponential backoff whose
+/// jitter is keyed on `key` (total sleep capped at
+/// [`MAX_BOOT_BACKOFF_US`]); deterministic failures and factory panics
+/// fail immediately. Returns the attempts consumed and the backoff
+/// slept, µs.
+pub(crate) fn boot_with_retries<T>(
+    key: fmt::Arguments<'_>,
     retries: u32,
-) -> (Result<World, CampaignError>, u32, u64) {
+    factory: impl Fn() -> Result<T, BootError>,
+) -> (Result<T, CampaignError>, u32, u64) {
     let mut attempts = 0u32;
     let mut backoff_us = 0u64;
     loop {
         attempts += 1;
-        match catch_unwind(AssertUnwindSafe(|| factory(version, injector))) {
-            Ok(Ok(world)) => return (Ok(world), attempts, backoff_us),
+        let error = match catch_unwind(AssertUnwindSafe(&factory)) {
+            Ok(Ok(booted)) => return (Ok(booted), attempts, backoff_us),
             Ok(Err(boot)) if boot.is_transient() && attempts <= retries => {
-                let sleep = retry_backoff_us(&format!("{version}/{injector}"), attempts)
+                let sleep = retry_backoff_us(key, attempts)
                     .min(MAX_BOOT_BACKOFF_US.saturating_sub(backoff_us));
                 if sleep > 0 {
                     std::thread::sleep(Duration::from_micros(sleep));
                     backoff_us += sleep;
                 }
+                continue;
             }
-            Ok(Err(boot)) => {
-                return (
-                    Err(CampaignError::Boot { message: boot.to_string(), attempts }),
-                    attempts,
-                    backoff_us,
-                )
-            }
-            Err(p) => {
-                return (
-                    Err(CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) }),
-                    attempts,
-                    backoff_us,
-                )
-            }
-        }
-    }
-}
-
-/// The deadline watchdog: polls running slots and re-labels any that
-/// overran the deadline `TimedOut`, so result collection can report them
-/// without waiting on the stuck worker. Cooperative by design —
-/// `std::thread::scope` still joins every worker, so a cell body that
-/// *never* returns holds campaign exit; the watchdog's job is to keep
-/// the *report* complete and correctly labelled.
-fn watchdog(
-    slots: &[Mutex<CellSlot>],
-    completed: &AtomicUsize,
-    total: usize,
-    deadline: Duration,
-) {
-    let poll = (deadline / 10).max(Duration::from_millis(1));
-    while completed.load(Ordering::Acquire) < total {
-        for slot in slots {
-            let mut slot = lock_recover(slot);
-            if let CellSlot::Running { started } = *slot {
-                if started.elapsed() > deadline {
-                    *slot = CellSlot::TimedOut { phases: None };
-                }
-            }
-        }
-        std::thread::sleep(poll);
+            Ok(Err(boot)) => CampaignError::Boot { message: boot.to_string(), attempts },
+            Err(p) => CampaignError::HarnessCrash { payload: panic_payload(p.as_ref()) },
+        };
+        return (Err(error), attempts, backoff_us);
     }
 }
 
@@ -2002,6 +1856,7 @@ mod tests {
     use crate::scenario::ScenarioOutcome;
     use crate::taxonomy::AbusiveFunctionality;
     use hvsim_mem::DomainId;
+    use std::sync::Mutex;
 
     /// A synthetic use case: injects IDT corruption and triggers a fault.
     struct CrashCase;
@@ -2397,6 +2252,59 @@ mod tests {
         let fast = report.cell("synthetic-crash", XenVersion::V4_13, Mode::Injection).unwrap();
         assert!(!fast.degraded(), "cells inside the deadline are unaffected");
         assert!(report.is_degraded());
+    }
+
+    /// A use case whose injection path sleeps past any reasonable
+    /// deadline and then panics.
+    struct LateCrashCase;
+
+    impl UseCase for LateCrashCase {
+        fn name(&self) -> &'static str {
+            "synthetic-late-crash"
+        }
+
+        fn intrusion_model(&self) -> IntrusionModel {
+            SleepyCase.intrusion_model()
+        }
+
+        fn run_exploit(&self, _world: &mut World, _attacker: DomainId) -> ScenarioOutcome {
+            ScenarioOutcome::failed("not applicable")
+        }
+
+        fn run_injection(
+            &self,
+            _world: &mut World,
+            _attacker: DomainId,
+            _injector: &dyn Injector,
+        ) -> ScenarioOutcome {
+            std::thread::sleep(Duration::from_millis(100));
+            panic!("crashed after the deadline")
+        }
+    }
+
+    #[test]
+    fn a_crash_past_the_deadline_stays_crashed() {
+        let campaign = || {
+            Campaign::new()
+                .with_use_case(Box::new(CrashCase))
+                .with_use_case(Box::new(LateCrashCase))
+                .versions(&[XenVersion::V4_13])
+                .modes(&[Mode::Injection])
+                .cell_deadline(Duration::from_millis(20))
+        };
+        for jobs in [1, 8] {
+            let report = campaign().run_with_jobs(jobs);
+            let late =
+                report.cell("synthetic-late-crash", XenVersion::V4_13, Mode::Injection).unwrap();
+            assert!(
+                matches!(&late.outcome, CellOutcome::Crashed { payload, .. }
+                    if payload.contains("crashed after the deadline")),
+                "a crash outranks the deadline at jobs={jobs}, got {:?}",
+                late.outcome
+            );
+            let streamed = campaign().run_streaming_with_jobs(jobs).report;
+            assert_eq!((streamed.crashed, streamed.timed_out), (1, 0), "streamed at jobs={jobs}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic chaos injection for the harness itself: seeded faults
 //! that exercise every degradation path the campaign engine claims to
 //! contain — worker panics, transient boot failures, cells that blow
-//! their deadline, generator stalls, and torn journal writes.
+//! their deadline, claim stalls, and torn journal writes.
 //!
 //! The paper's argument depends on the harness surviving its own
 //! faults (a fault injector that dies on a fault proves nothing), and
@@ -12,10 +12,10 @@
 //! # Determinism contract
 //!
 //! Every report-affecting decision is a pure function of
-//! `(seed, fault kind, slot)` — **never** of worker id, queue position,
+//! `(seed, fault kind, slot)` — **never** of worker id, claim order,
 //! or wall clock — so a chaos campaign produces byte-identical
 //! normalized reports at any `--jobs` count, and CI diffs them exactly
-//! like regular runs. Queue stalls and torn journal writes only shape
+//! like regular runs. Claim stalls and torn journal writes only shape
 //! wall-clock time and journal durability, which `normalized()`
 //! excludes by construction.
 
@@ -63,8 +63,9 @@ pub struct ChaosConfig {
     /// Permille of slots slowed past the cell deadline (→ `TimedOut`;
     /// inert when no deadline is configured).
     pub slowdown_permille: u32,
-    /// Permille of slots whose enqueue stalls the generator briefly
-    /// (wall-clock only — never visible in a normalized report).
+    /// Permille of slots whose claiming worker stalls briefly before
+    /// the cell's clock starts (wall-clock only — never visible in a
+    /// normalized report).
     pub queue_stall_permille: u32,
     /// Permille of journal records written torn (a prefix of the
     /// bytes), exercising torn-tail recovery. Header records are
@@ -161,7 +162,7 @@ impl ChaosPolicy {
     }
 
     /// How long to slow this slot down, if at all: 2× the deadline, so
-    /// the watchdog relabel is unambiguous. Panic takes precedence —
+    /// the deadline relabel is unambiguous. Panic takes precedence —
     /// a cell that panics never reaches its slowdown.
     pub fn slowdown(&self, slot: u64, deadline: Option<Duration>) -> Option<Duration> {
         let deadline = deadline?;
@@ -180,7 +181,8 @@ impl ChaosPolicy {
             && self.roll(SALT_PANIC, slot) % 1000 < u64::from(self.config.worker_panic_permille)
     }
 
-    /// Should the generator stall before enqueueing this slot?
+    /// Should the worker that claimed this slot stall before starting
+    /// the cell's clock?
     pub fn queue_stall(&self, slot: u64) -> Option<Duration> {
         if !self.fires(SALT_STALL, slot, self.config.queue_stall_permille) {
             return None;
@@ -247,8 +249,8 @@ impl JournalSink for ChaosSink {
 /// A delegating [`UseCase`] wrapper that injects this cell's chaos
 /// faults into the inject phase: a panic (caught at the containment
 /// boundary → `Crashed`) or a sleep past the deadline (relabelled by
-/// the watchdog → `TimedOut`). Built per cell by the streaming worker,
-/// which is the only place that knows the slot.
+/// the post-return deadline check → `TimedOut`). Built per cell by the
+/// executor worker, which is the only place that knows the slot.
 pub(crate) struct ChaosUseCase<'a> {
     inner: &'a dyn UseCase,
     panic_in_inject: bool,

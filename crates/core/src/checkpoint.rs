@@ -448,8 +448,9 @@ impl CheckpointWriter {
     }
 
     /// `true` while the slot sidecar accepts records — callers skip the
-    /// encoding work once its fail-soft latch has tripped.
-    fn slot_recording(&self) -> bool {
+    /// digest and encoding work when it is off or its fail-soft latch
+    /// has tripped.
+    pub(crate) fn slot_recording(&self) -> bool {
         !self.slots_failed.load(Ordering::Relaxed)
     }
 
@@ -554,7 +555,7 @@ impl SlotBuffer {
 /// recovered state a resumed run starts from (empty for a fresh run).
 pub(crate) struct CheckpointSession {
     pub(crate) writer: CheckpointWriter,
-    /// Slots already covered by durable fold records — the generator
+    /// Slots already covered by durable fold records — the executor
     /// skips these.
     pub(crate) done: BTreeSet<u64>,
     /// Each prior worker's last cumulative fold, merged into the final

@@ -48,8 +48,8 @@ pub enum CampaignError {
         /// The downcast panic payload.
         payload: String,
     },
-    /// The cell exceeded the campaign's per-cell deadline and was
-    /// abandoned by the watchdog.
+    /// The cell would have completed but ran past the campaign's
+    /// per-cell deadline.
     Deadline {
         /// The configured deadline, in microseconds.
         deadline_us: u64,
@@ -173,7 +173,8 @@ pub enum CellOutcome {
         /// Which cell crashed.
         cell: CellId,
     },
-    /// The watchdog abandoned the cell at the per-cell deadline.
+    /// The cell would have completed but ran past the per-cell
+    /// deadline (a crash or failed boot keeps its own outcome).
     TimedOut {
         /// The configured deadline, in microseconds.
         deadline_us: u64,

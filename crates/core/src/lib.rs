@@ -82,6 +82,7 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod erroneous_state;
 pub mod error;
+mod executor;
 pub mod injector;
 pub mod model;
 pub mod monitor;

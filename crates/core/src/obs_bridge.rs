@@ -47,19 +47,14 @@ pub const M_TLB_MISSES: &str = "tlb.misses";
 /// set. Recorded on every run — a quiet run reads an explicit 0 (same
 /// convention as `campaign.chaos.*`).
 pub const M_TLB_FILL_CONFLICTS: &str = "tlb.fill_conflicts";
-/// Counter (streaming only): time the spec generator spent blocked on
-/// a full work queue, µs.
-pub const M_QUEUE_STALL_US: &str = "campaign.stream.queue_stall_us";
-/// Counter (streaming only): time workers spent blocked on an empty
-/// work queue, µs.
-pub const M_WORKER_STALL_US: &str = "campaign.stream.worker_stall_us";
 /// Counter (streaming only): time spent merging per-worker partial
 /// reports, µs.
 pub const M_MERGE_US: &str = "campaign.stream.merge_us";
-/// Counter (streaming only): peak cells resident in the pipeline.
+/// Counter (streaming only): peak cells resident (claimed, not yet
+/// folded) at once.
 pub const M_PEAK_RESIDENT: &str = "campaign.stream.peak_resident_cells";
-/// Counter (streaming only): cold-miss wait on the shared base-world
-/// map, µs.
+/// Counter (streaming only): time workers spent blocked on a base world
+/// that was still booting, µs.
 pub const M_BASE_WORLD_WAIT_US: &str = "campaign.stream.base_world_wait_us";
 /// Counter: total backoff slept between transient boot retries, µs.
 pub const M_RETRY_BACKOFF_US: &str = "boot.retry_backoff_us";
@@ -237,8 +232,6 @@ pub(crate) fn record_stream_metrics(
     for (name, histogram) in phases.named() {
         registry.observe_histogram(name, histogram);
     }
-    registry.add(M_QUEUE_STALL_US, stats.queue_stall_us);
-    registry.add(M_WORKER_STALL_US, stats.worker_stall_us);
     registry.add(M_MERGE_US, stats.merge_us);
     registry.add(M_PEAK_RESIDENT, stats.peak_resident_cells);
     registry.add(M_BASE_WORLD_WAIT_US, stats.base_world_wait_us);

@@ -7,10 +7,10 @@
 //! component made concrete), injects each into a fresh world, exercises
 //! the system, and classifies the outcome.
 
-use crate::campaign::{default_jobs, lock_recover};
+use crate::campaign::{boot_with_retries, default_jobs};
 use crate::erroneous_state::ErroneousStateSpec;
-use crate::stream::BoundedQueue;
 use crate::error::{panic_payload, CampaignError};
+use crate::executor::{self, SlotPlan};
 use crate::injector::{ArbitraryAccessInjector, Injector};
 use crate::monitor::Monitor;
 use crate::report::TextTable;
@@ -22,8 +22,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Where randomized injections land — the concrete footprint of an
@@ -162,23 +160,6 @@ pub struct RandomizedSummary {
     pub degraded: usize,
 }
 
-impl RandomizedSummary {
-    /// Sums two summaries. Every field is a count of per-trial
-    /// indicators, so merging per-worker (or per-shard) summaries is
-    /// exact, associative, and commutative.
-    #[must_use]
-    pub fn merge(&self, other: &Self) -> Self {
-        Self {
-            total: self.total + other.total,
-            injected: self.injected + other.injected,
-            crashes: self.crashes + other.crashes,
-            violated: self.violated + other.violated,
-            handled: self.handled + other.handled,
-            degraded: self.degraded + other.degraded,
-        }
-    }
-}
-
 impl fmt::Display for RandomizedSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut t = TextTable::new([
@@ -276,135 +257,36 @@ impl RandomizedCampaign {
         if self.trials == 0 {
             return Ok((RandomizedSummary::default(), Vec::new()));
         }
-        let (base_world, attacker) = self.boot_base(&factory)?;
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<TrialResult>>> =
-            (0..self.trials).map(|_| Mutex::new(None)).collect();
-        let workers = jobs.max(1).min(self.trials);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= self.trials {
-                        break;
-                    }
-                    let trial = self.run_trial_contained(&base_world, attacker, t as u64);
-                    *lock_recover(&slots[t]) = Some(trial);
-                });
-            }
-        });
-
-        // Fold the summary serially over the slot-ordered results, so
+        let (base_world, attacker) =
+            boot_with_retries(format_args!("randomized/{}", self.seed), self.retries, factory).0?;
+        // Each worker keeps its trials tagged with their index; the
+        // summary is folded serially over the trial-ordered results, so
         // counting never depends on completion order.
-        let mut summary = RandomizedSummary {
-            total: self.trials,
-            ..Default::default()
-        };
+        let plan = SlotPlan { len: self.trials as u64, shard: None, done: None };
+        let workers = jobs.max(1).min(self.trials);
+        let share = self.trials.div_ceil(workers);
+        let partials = executor::execute(
+            &plan,
+            (0..workers).map(|_| Vec::with_capacity(share)).collect(),
+            |trials: &mut Vec<(u64, TrialResult)>, t| {
+                trials.push((t, self.run_trial_contained(&base_world, attacker, t)));
+            },
+            |_| {},
+            None,
+            None,
+        );
+        let mut trials = Vec::with_capacity(self.trials);
+        for partial in partials {
+            trials.extend(partial);
+        }
+        trials.sort_unstable_by_key(|&(t, _)| t);
+        let mut summary = RandomizedSummary { total: self.trials, ..Default::default() };
         let mut outcomes = Vec::with_capacity(self.trials);
-        for slot in slots {
-            let trial = slot
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| TrialResult {
-                    // Unreachable — trial bodies are contained — but a
-                    // lost slot degrades one trial, never the campaign.
-                    outcome: degraded_outcome(
-                        self.region,
-                        CampaignError::HarnessCrash {
-                            payload: "worker abandoned the trial".to_owned(),
-                        },
-                    ),
-                    non_crash_violations: 0,
-                });
+        for (_, trial) in trials {
             fold_trial(&mut summary, &trial);
             outcomes.push(trial.outcome);
         }
         Ok((summary, outcomes))
-    }
-
-    /// Streams the trial indices through a bounded queue on exactly
-    /// `jobs` workers, folding each classified trial into a per-worker
-    /// summary that is dropped into the merge at the end — O(workers)
-    /// resident memory, no retained outcomes. Each trial's
-    /// classification depends only on its deterministic seed, and every
-    /// summary field is a sum, so the merged summary is identical to
-    /// [`RandomizedCampaign::run_with_jobs`]'s for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// See [`RandomizedCampaign::run`].
-    pub fn run_streaming_summary(
-        &self,
-        factory: impl Fn() -> Result<(World, DomainId), BootError> + Send + Sync,
-        jobs: usize,
-    ) -> Result<RandomizedSummary, CampaignError> {
-        if self.trials == 0 {
-            return Ok(RandomizedSummary::default());
-        }
-        let (base_world, attacker) = self.boot_base(&factory)?;
-        let workers = jobs.max(1).min(self.trials);
-        let queue: BoundedQueue<u64> = BoundedQueue::new((workers * 2).max(8));
-        let partials: Mutex<Vec<RandomizedSummary>> = Mutex::new(Vec::with_capacity(workers));
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for t in 0..self.trials as u64 {
-                    queue.push(t);
-                }
-                queue.close();
-            });
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut summary = RandomizedSummary::default();
-                    while let Some(t) = queue.pop() {
-                        let trial = self.run_trial_contained(&base_world, attacker, t);
-                        summary.total += 1;
-                        fold_trial(&mut summary, &trial);
-                    }
-                    lock_recover(&partials).push(summary);
-                });
-            }
-        });
-        let mut merged = RandomizedSummary::default();
-        for summary in partials.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            merged = merged.merge(&summary);
-        }
-        Ok(merged)
-    }
-
-    /// Boots the shared base world with panic containment and the
-    /// transient-failure retry budget, sleeping the same deterministic
-    /// exponential backoff the grid campaign uses between attempts
-    /// (jitter keyed on the campaign seed).
-    fn boot_base(
-        &self,
-        factory: &(impl Fn() -> Result<(World, DomainId), BootError> + Send + Sync),
-    ) -> Result<(World, DomainId), CampaignError> {
-        let mut attempts = 0u32;
-        let mut backoff_us = 0u64;
-        loop {
-            attempts += 1;
-            match catch_unwind(AssertUnwindSafe(factory)) {
-                Ok(Ok(base)) => return Ok(base),
-                Ok(Err(boot)) if boot.is_transient() && attempts <= self.retries => {
-                    let sleep =
-                        crate::campaign::retry_backoff_us(&format!("randomized/{}", self.seed), attempts)
-                            .min(20_000u64.saturating_sub(backoff_us));
-                    if sleep > 0 {
-                        std::thread::sleep(std::time::Duration::from_micros(sleep));
-                        backoff_us += sleep;
-                    }
-                }
-                Ok(Err(boot)) => {
-                    return Err(CampaignError::Boot { message: boot.to_string(), attempts })
-                }
-                Err(p) => {
-                    return Err(CampaignError::HarnessCrash {
-                        payload: panic_payload(p.as_ref()),
-                    })
-                }
-            }
-        }
     }
 
     /// Runs trial `t` under a panic boundary, retrying contained panics
@@ -483,9 +365,7 @@ struct TrialResult {
 }
 
 /// Classifies one trial into the summary counts (everything except
-/// `total`, which the callers own). Shared by the slot-ordered classic
-/// fold and the per-worker streaming fold — one definition of
-/// degraded/crashed/violated/handled for both paths.
+/// `total`, which the caller owns).
 fn fold_trial(summary: &mut RandomizedSummary, trial: &TrialResult) {
     if trial.outcome.error.is_some() {
         summary.degraded += 1;
@@ -585,17 +465,6 @@ mod tests {
         let (s, o) = campaign.with_jobs(4).run(factory(XenVersion::V4_8)).unwrap();
         assert_eq!(s, s1);
         assert_eq!(o, o1);
-    }
-
-    #[test]
-    fn streaming_summary_matches_classic_at_any_worker_count() {
-        let campaign = RandomizedCampaign::new(TargetRegion::IdtGates { cpu: 0 }, 10, 99);
-        let (classic, _) = campaign.run_with_jobs(factory(XenVersion::V4_8), 2).unwrap();
-        for jobs in [1, 4] {
-            let streamed =
-                campaign.run_streaming_summary(factory(XenVersion::V4_8), jobs).unwrap();
-            assert_eq!(streamed, classic, "streamed summary at jobs={jobs}");
-        }
     }
 
     #[test]

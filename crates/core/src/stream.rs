@@ -1,18 +1,16 @@
-//! The streaming campaign pipeline: lazy cell-spec generation, a
-//! bounded work queue with backpressure, and merge-associative partial
-//! reports.
+//! The streaming campaign reports: the lazy cell grid, shards, and
+//! merge-associative partial reports.
 //!
 //! The classic runner ([`Campaign::run`](crate::Campaign::run))
 //! materializes one [`CellResult`](crate::CellResult) per cell — O(cells)
 //! memory, fine for the paper's 24-cell Table III, hopeless for the
-//! million-cell grids the taxonomy implies. The streaming runner keeps
-//! resident state at O(workers + queue depth):
+//! million-cell grids the taxonomy implies. The streaming runner folds
+//! each cell into its worker's partial report as soon as it finishes,
+//! so at most one cell per worker is resident:
 //!
 //! ```text
-//! SpecGrid (lazy slots)      BoundedQueue (depth D)          N workers
-//!  generator ── CellSpec ──▶ [ ▒▒▒ backpressure ▒▒▒ ] ──▶ run cell ─┐
-//!                                                                   ▼
-//!                                                    PartialFold (per worker)
+//!  atomic slot cursor ──▶ N workers (the slot executor)
+//!  claim slot ──▶ SpecGrid::decode ──▶ run cell ──▶ PartialFold (per worker)
 //!                                                                   │
 //!                              ordered merge (by first slot) ◀──────┘
 //!                                         │
@@ -36,10 +34,8 @@ use crate::scenario::Mode;
 use hvsim::XenVersion;
 use hvsim_obs::{FlightEvent, Histogram, HistogramSummary};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Instant;
 
 /// One cell of a campaign grid, identified by its global slot index.
 ///
@@ -280,107 +276,9 @@ impl std::fmt::Display for Shard {
     }
 }
 
-/// A bounded MPMC queue: producers block when full (backpressure),
-/// consumers block when empty, `close()` wakes everyone for shutdown.
-/// Stall time on both sides is accounted so the throughput summary can
-/// show whether the generator or the workers were the bottleneck.
-pub(crate) struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-    push_stall_us: AtomicU64,
-    pop_stall_us: AtomicU64,
-}
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    pub(crate) fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            state: Mutex::new(QueueState { items: VecDeque::with_capacity(capacity), closed: false }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity,
-            push_stall_us: AtomicU64::new(0),
-            pop_stall_us: AtomicU64::new(0),
-        }
-    }
-
-    /// Blocks until there is room, then enqueues. Items pushed after
-    /// `close()` are dropped (the campaign never does this; it closes
-    /// only after the generator is exhausted).
-    pub(crate) fn push(&self, item: T) {
-        let started = Instant::now();
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while state.items.len() >= self.capacity && !state.closed {
-            state = self.not_full.wait(state).unwrap_or_else(PoisonError::into_inner);
-        }
-        let stalled = started.elapsed().as_micros() as u64;
-        if stalled > 0 {
-            self.push_stall_us.fetch_add(stalled, Ordering::Relaxed);
-        }
-        if !state.closed {
-            state.items.push_back(item);
-            drop(state);
-            self.not_empty.notify_one();
-        }
-    }
-
-    /// Blocks until an item is available; `None` once the queue is
-    /// closed *and* drained.
-    pub(crate) fn pop(&self) -> Option<T> {
-        let started = Instant::now();
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                let stalled = started.elapsed().as_micros() as u64;
-                if stalled > 0 {
-                    self.pop_stall_us.fetch_add(stalled, Ordering::Relaxed);
-                }
-                drop(state);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Marks the stream complete and wakes all waiters.
-    pub(crate) fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.closed = true;
-        drop(state);
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Items currently queued — a telemetry gauge, racy by nature.
-    pub(crate) fn len(&self) -> usize {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).items.len()
-    }
-
-    /// Total time producers spent blocked on a full queue, µs.
-    pub(crate) fn push_stall_us(&self) -> u64 {
-        self.push_stall_us.load(Ordering::Relaxed)
-    }
-
-    /// Total time consumers spent blocked on an empty queue, µs.
-    pub(crate) fn pop_stall_us(&self) -> u64 {
-        self.pop_stall_us.load(Ordering::Relaxed)
-    }
-}
-
-/// Tracks how many cells are resident (queued or being folded) and the
-/// peak — the evidence that streaming memory is O(workers + queue
-/// depth), not O(cells).
+/// Tracks how many cells are resident (claimed and not yet folded) and
+/// the peak — the evidence that streaming memory is O(workers), not
+/// O(cells).
 #[derive(Default)]
 pub(crate) struct ResidentGauge {
     current: AtomicU64,
@@ -655,7 +553,7 @@ pub struct StreamReport {
 impl StreamReport {
     /// The report with every wall-clock and schedule-dependent value
     /// zeroed; counts survive. Normalized reports are byte-identical
-    /// across worker counts, queue depths, and shardings.
+    /// across worker counts and shardings.
     #[must_use]
     pub fn normalized(&self) -> Self {
         let norm_phase = |p: &PhaseLatency| PhaseLatency {
@@ -836,23 +734,17 @@ impl StreamReport {
 pub struct StreamRunStats {
     /// Worker threads used.
     pub workers: u64,
-    /// Bounded queue capacity.
-    pub queue_depth: u64,
     /// End-to-end elapsed time, µs.
     pub elapsed_us: u64,
     /// Completed cells per second of elapsed time.
     pub cells_per_sec: f64,
-    /// Peak number of cells resident (queued or being folded) at once —
-    /// bounded by queue depth + workers + 1, never O(cells).
+    /// Peak number of cells resident (claimed and not yet folded) at
+    /// once — bounded by the worker count, never O(cells).
     pub peak_resident_cells: u64,
-    /// Time the generator spent blocked on a full queue, µs.
-    pub queue_stall_us: u64,
-    /// Time workers spent blocked on an empty queue, µs.
-    pub worker_stall_us: u64,
     /// Time spent merging per-worker partial reports, µs.
     pub merge_us: u64,
-    /// Time spent waiting on the shared base-world map (cold misses
-    /// only; per-worker caches make steady state lock-free), µs.
+    /// Time workers spent blocked on a base world that was still
+    /// booting, µs.
     pub base_world_wait_us: u64,
 }
 
@@ -881,21 +773,15 @@ pub struct StreamBench {
     pub degraded: u64,
     /// Worker threads used.
     pub workers: u64,
-    /// Bounded queue capacity.
-    pub queue_depth: u64,
     /// End-to-end elapsed time, µs.
     pub elapsed_us: u64,
     /// Completed cells per second of elapsed time.
     pub cells_per_sec: f64,
-    /// Peak cells resident in the pipeline at once.
+    /// Peak cells resident at once.
     pub peak_resident_cells: u64,
-    /// Generator stall on a full queue, µs.
-    pub queue_stall_us: u64,
-    /// Worker stall on an empty queue, µs.
-    pub worker_stall_us: u64,
     /// Partial-report merge time, µs.
     pub merge_us: u64,
-    /// Cold-miss wait on the shared base-world map, µs.
+    /// Wait on base worlds that were still booting, µs.
     pub base_world_wait_us: u64,
 }
 
@@ -909,12 +795,9 @@ impl StreamOutcome {
             completed: self.report.completed,
             degraded: self.report.degraded,
             workers: s.workers,
-            queue_depth: s.queue_depth,
             elapsed_us: s.elapsed_us,
             cells_per_sec: s.cells_per_sec,
             peak_resident_cells: s.peak_resident_cells,
-            queue_stall_us: s.queue_stall_us,
-            worker_stall_us: s.worker_stall_us,
             merge_us: s.merge_us,
             base_world_wait_us: s.base_world_wait_us,
         }
@@ -1098,7 +981,6 @@ impl PartialFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn grid() -> SpecGrid {
         SpecGrid::new(
@@ -1179,34 +1061,6 @@ mod tests {
         assert!(g.is_empty());
         assert_eq!(g.iter().count(), 0);
         assert_eq!(g.shard_len(Some(Shard { index: 0, count: 2 })), 0);
-    }
-
-    #[test]
-    fn bounded_queue_backpressure_and_close() {
-        let q = Arc::new(BoundedQueue::new(2));
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                for i in 0..100u64 {
-                    q.push(i);
-                }
-                q.close();
-            })
-        };
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(v) = q.pop() {
-                    got.push(v);
-                }
-                got
-            })
-        };
-        producer.join().unwrap();
-        let got = consumer.join().unwrap();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
-        assert_eq!(q.pop(), None, "closed and drained");
     }
 
     #[test]

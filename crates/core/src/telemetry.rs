@@ -1,7 +1,7 @@
 //! Live campaign telemetry: worker heartbeats, stall detection, the
 //! metrics-timeline sampler, and the `--progress` line.
 //!
-//! The campaign engines (classic and streaming) share one model: each
+//! Every campaign run (classic and streaming) shares one model: each
 //! worker stamps a heartbeat at every slot boundary, and a single
 //! supervisor thread wakes every sampling interval to (1) push a
 //! [`TimelineSample`] of live counters and gauges, (2) compare every
@@ -128,9 +128,9 @@ pub(crate) fn progress_line(done: u64, total: u64, degraded: u64, elapsed_ms: u6
     )
 }
 
-/// Engine-specific gauge appender: each tick's timeline sample passes
-/// through one of these so the streaming engine can add queue depth,
-/// resident cells, and checkpoint/chaos tallies to the shared base set.
+/// Run-specific gauge appender: each tick's timeline sample passes
+/// through one of these so the campaign can add resident cells and
+/// checkpoint/chaos tallies to the shared base set.
 pub(crate) type ExtraGauges<'a> = &'a dyn Fn(&mut Vec<(String, u64)>);
 
 /// Everything the supervisor thread needs, borrowed from the engine's
@@ -158,8 +158,8 @@ impl Supervisor<'_> {
     /// final sample after the last cell so even sub-interval runs
     /// produce a non-empty timeline.
     ///
-    /// `extra` appends engine-specific gauges (queue depth, resident
-    /// cells, checkpoint counters, chaos tallies) to each sample.
+    /// `extra` appends run-specific gauges (resident cells, checkpoint
+    /// counters, chaos tallies) to each sample.
     pub(crate) fn run(&self, telemetry: &Telemetry, extra: ExtraGauges<'_>) {
         if let Some(registry) = self.registry {
             // Pre-register the stall counter so "no stalls" is an

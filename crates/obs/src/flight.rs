@@ -62,7 +62,12 @@ pub struct FlightEvent {
 }
 
 /// A fixed-capacity overwrite-oldest event ring.
+///
+/// Aligned to 128 bytes: every worker writes its own recorder several
+/// times per cell, and recorders allocated back to back would otherwise
+/// share cache lines between workers.
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct FlightRecorder {
     capacity: usize,
     events: VecDeque<FlightEvent>,
