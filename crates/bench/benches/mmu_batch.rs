@@ -1,8 +1,8 @@
 //! Batched `mmu_update` validation: Xen's real hypercall takes an
-//! array of updates, and the batch path must beat a loop of singleton
-//! hypercalls — same per-entry validation and audit events, but one
-//! page-table-generation bump (one TLB shoot-down equivalent) per
-//! batch instead of one per entry.
+//! array of updates. A batch does the same per-entry validation, PTE
+//! writes and audit events as a loop of singleton hypercalls; it saves
+//! only the per-call entry work (hypercall accounting and the liveness
+//! check), which this bench measures.
 
 use bench::attack_world;
 use criterion::{criterion_group, criterion_main, Criterion};

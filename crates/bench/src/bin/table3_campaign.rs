@@ -4,7 +4,7 @@
 //!
 //! By default the campaign runs once per jobs level (1, 4, 8) and
 //! `BENCH_campaign.json` holds the throughput entries under `table3`
-//! (one per level, with COW snapshot stats and software-TLB counters)
+//! (one per level, with COW snapshot stats)
 //! plus a `stream` array: the streamed engine on the same grid per
 //! level and — for the default sweep — a synthetic ~100k-cell grid
 //! entry proving bounded-memory throughput at scale. `--jobs N`
@@ -23,11 +23,10 @@
 //! * `--synthetic-cells N` — size of the synthetic streamed grid entry
 //!   in `BENCH_campaign.json` (rounded up to a multiple of 3; 0
 //!   disables; default ~100k for the full sweep, 0 with `--jobs`)
-//! * `--no-tlb` — disable the software TLB (the report must not change)
 //! * `--chunk-frames N` — COW chunk-directory granularity in frames
 //!   (the report must not change; rounded up to a power of two)
 //! * `--report-out FILE` — write the *normalized* report as JSON
-//!   (what CI diffs across jobs levels, TLB settings, and shardings)
+//!   (what CI diffs across jobs levels, chunk sizes, and shardings)
 //! * `--trace-out FILE` — write the campaign's structured trace as JSONL
 //! * `--metrics-out FILE` — write the metrics-registry snapshot as JSON
 //! * `--json` — also print the full report as JSON
@@ -54,7 +53,6 @@ struct Options {
     shard: Option<Shard>,
     /// `None` = default policy (~100k for the full sweep, 0 otherwise).
     synthetic_cells: Option<u64>,
-    no_tlb: bool,
     /// COW chunk-directory granularity override (`None` = default).
     chunk_frames: Option<usize>,
     report_out: Option<String>,
@@ -69,7 +67,6 @@ fn parse_args() -> Options {
         stream: false,
         shard: None,
         synthetic_cells: None,
-        no_tlb: false,
         chunk_frames: None,
         report_out: None,
         trace_out: None,
@@ -107,7 +104,6 @@ fn parse_args() -> Options {
                     exit(2);
                 }));
             }
-            "--no-tlb" => opts.no_tlb = true,
             "--chunk-frames" => {
                 let raw = value("--chunk-frames");
                 opts.chunk_frames = Some(raw.parse().ok().filter(|&c| c > 0).unwrap_or_else(|| {
@@ -123,7 +119,7 @@ fn parse_args() -> Options {
                 eprintln!("unknown argument '{other}'");
                 eprintln!(
                     "usage: table3_campaign [--jobs N] [--stream] \
-                     [--shard i/n] [--synthetic-cells N] [--no-tlb] [--chunk-frames N] \
+                     [--shard i/n] [--synthetic-cells N] [--chunk-frames N] \
                      [--report-out FILE] [--trace-out FILE] [--metrics-out FILE] [--json]"
                 );
                 exit(2);
@@ -162,15 +158,11 @@ fn print_throughput(t: &CampaignThroughput) {
         t.total_hypercalls,
     );
     println!(
-        "  snapshot: {} frames, {} shared at peak, {} COW-copied, {} chunks privatized   \
-         tlb: {} hits, {} misses, {} fill conflicts",
+        "  snapshot: {} frames, {} shared at peak, {} COW-copied, {} chunks privatized",
         t.snapshot.frames_total,
         t.snapshot.frames_shared,
         t.snapshot.frames_copied,
         t.snapshot.chunks_privatized,
-        t.tlb.hits,
-        t.tlb.misses,
-        t.tlb.fill_conflicts,
     );
 }
 
@@ -235,9 +227,6 @@ fn print_report(report: &CampaignReport) {
 /// The paper campaign with every grid/engine option applied.
 fn configured_campaign(opts: &Options, workers: usize) -> Campaign {
     let mut campaign = paper_campaign().jobs(workers);
-    if opts.no_tlb {
-        campaign = campaign.use_tlb(false);
-    }
     if let Some(chunk) = opts.chunk_frames {
         campaign = campaign.world_factory(standard_world_factory(Some(chunk)));
     }
@@ -291,7 +280,8 @@ struct BenchFile {
 ///   behaviour (one world-sized chunk); the chunked path is gated ≥5×
 ///   faster.
 /// * Batching: one 64-entry `mmu_update` hypercall vs 64 singleton
-///   calls doing identical validation work (informational, not gated).
+///   calls doing identical validation and writes; the batch saves only
+///   the per-call entry work (informational, not gated).
 #[derive(serde::Serialize)]
 struct MemBench {
     frames: u64,
@@ -367,9 +357,10 @@ fn mmu_batch_ns(batch: bool, iters: u32, rounds: u32) -> f64 {
     best
 }
 
-/// One flight-recorder overhead measurement: the synthetic grid
-/// streamed with the recorder at its default capacity vs disabled.
-/// The recorder is always-on in production, so its cost is gated
+/// One flight-recorder overhead measurement: the paper grid (x100
+/// trials) streamed with the recorder at its default capacity vs
+/// disabled, each side the median of [`FLIGHT_GATE_PAIRS`] alternating
+/// runs. The recorder is always-on in production, so its cost is gated
 /// < 5% of the recorder-off baseline.
 #[derive(serde::Serialize)]
 struct FlightBench {
@@ -385,9 +376,10 @@ struct FlightBench {
 
 /// One checkpoint-overhead measurement: the synthetic grid streamed
 /// with and without journaling at the default fold interval. Two
-/// entries land in the bench file: the default configuration (gated
-/// < 10%) and an informational run with the opt-in `--journal-slots`
-/// forensic sidecar.
+/// entries land in the bench file: the default configuration (each
+/// side the median of [`CHECKPOINT_GATE_PAIRS`] alternating runs, gated
+/// < 10%) and one informational run with the opt-in `--journal-slots`
+/// forensic sidecar, compared against the plain median.
 #[derive(serde::Serialize)]
 struct CheckpointBench {
     cells: u64,
@@ -405,6 +397,71 @@ struct CheckpointBench {
     fsyncs: u64,
 }
 
+/// Runs per side of the flight-recorder gate. Even, so each side runs
+/// first in exactly half of the pairs. Its runs are short (~50 ms), so
+/// one run's throughput swings by ±30% with other load on a small
+/// host, and its bound is tight (5%): it takes many cheap samples.
+const FLIGHT_GATE_PAIRS: usize = 20;
+/// Runs per side of the checkpoint gate (~1 s per run). Even, as
+/// above; a journaled run occasionally stalls on a slow fsync, so one
+/// side needs enough runs that a few stalls do not move its median.
+const CHECKPOINT_GATE_PAIRS: usize = 10;
+
+/// One timed campaign run of an overhead gate.
+struct Sample {
+    cells_per_sec: f64,
+    /// The normalized report, which the measured feature must not change.
+    report: String,
+}
+
+impl Sample {
+    fn of(outcome: &StreamOutcome) -> Self {
+        Self {
+            cells_per_sec: outcome.stats.cells_per_sec,
+            report: outcome.report.normalized().to_json().expect("report serializes"),
+        }
+    }
+}
+
+/// Median of `samples` (mean of the middle two for an even count).
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let n = samples.len();
+    (samples[(n - 1) / 2] + samples[n / 2]) / 2.0
+}
+
+/// Measures an A/B overhead fairly: `pairs` pairs of one `off` run and
+/// one `on` run, with the `off` side first in even pairs and the `on`
+/// side first in odd ones, so both sides get the same number of samples
+/// and the same share of first slots. Every run's report must equal the
+/// first run's (`unchanged` is the failure message). Returns the median
+/// throughput of the `off` and `on` sides.
+fn paired_medians(
+    pairs: usize,
+    unchanged: &str,
+    mut off: impl FnMut() -> Sample,
+    mut on: impl FnMut() -> Sample,
+) -> (f64, f64) {
+    let mut reference: Option<String> = None;
+    let (mut off_samples, mut on_samples) = (Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        for on_side in [pair % 2 == 1, pair % 2 == 0] {
+            let sample = if on_side { on() } else { off() };
+            match &reference {
+                Some(report) => assert_eq!(&sample.report, report, "{unchanged}"),
+                None => reference = Some(sample.report),
+            }
+            if on_side {
+                on_samples.push(sample.cells_per_sec);
+            } else {
+                off_samples.push(sample.cells_per_sec);
+            }
+        }
+    }
+    eprintln!("  off cells/sec: {off_samples:.0?}\n  on  cells/sec: {on_samples:.0?}");
+    (median(off_samples), median(on_samples))
+}
+
 fn main() {
     let opts = parse_args();
     let jobs_levels: Vec<usize> = match opts.jobs {
@@ -419,7 +476,6 @@ fn main() {
     let mut checkpoint_entries: Vec<CheckpointBench> = Vec::new();
     let mut flight_entries: Vec<FlightBench> = Vec::new();
     let shard_note = opts.shard.map(|s| format!(", shard {s}")).unwrap_or_default();
-    let tlb_note = if opts.no_tlb { ", TLB off" } else { "" };
 
     // The normalized report written by `--report-out`: a classic
     // CampaignReport or a mergeable StreamReport depending on engine.
@@ -437,7 +493,7 @@ fn main() {
                 campaign = campaign.tracer(tracer.clone()).metrics(registry.clone());
             }
             eprintln!(
-                "streaming the full campaign ({} cells, {workers} workers{shard_note}{tlb_note}) ...",
+                "streaming the full campaign ({} cells, {workers} workers{shard_note}) ...",
                 campaign.grid().shard_len(opts.shard),
             );
             let outcome = campaign.run_streaming_with_jobs(workers);
@@ -464,7 +520,7 @@ fn main() {
                 campaign = campaign.tracer(tracer.clone()).metrics(registry.clone());
             }
             eprintln!(
-                "running the full campaign ({} cells, {workers} workers{shard_note}{tlb_note}) ...",
+                "running the full campaign ({} cells, {workers} workers{shard_note}) ...",
                 campaign.grid().shard_len(opts.shard),
             );
             let start = Instant::now();
@@ -500,51 +556,30 @@ fn main() {
     // Flight-recorder overhead on the Table III grid: the per-worker
     // forensic ring is always-on (default capacity 256), so its cost is
     // gated < 5% against a recorder-off baseline on real campaign
-    // cells. Trials are boosted so one run is long enough to time, and
-    // each side is measured best-of-3 with the runs interleaved (up to
-    // best-of-6 if the gate would otherwise fail): a single
-    // back-to-back pair is dominated by scheduler noise on shared
-    // machines, and the paired minima estimate each pipeline's true
-    // floor.
+    // cells. Trials are boosted so one run is long enough to time.
     {
         let flight_workers = opts.jobs.unwrap_or(4);
-        let flight_campaign = || {
-            let campaign = paper_campaign().trials(100).jobs(flight_workers);
-            if opts.no_tlb {
-                campaign.use_tlb(false)
-            } else {
-                campaign
-            }
+        let flight_campaign = || paper_campaign().trials(100).jobs(flight_workers);
+        let run = |capacity: usize| {
+            let outcome =
+                flight_campaign().flight_capacity(capacity).run_streaming_with_jobs(flight_workers);
+            Sample::of(&outcome)
         };
         eprintln!(
             "measuring flight-recorder overhead (paper grid x100 trials, \
-             {flight_workers} workers) ..."
+             {flight_workers} workers, {FLIGHT_GATE_PAIRS} pairs) ..."
         );
-        let baseline = flight_campaign().flight_capacity(0).run_streaming_with_jobs(flight_workers);
-        let reference = baseline.report.normalized().to_json().expect("report serializes");
-        let mut off_best = baseline.stats.cells_per_sec;
-        let mut on_best = 0.0f64;
-        let mut flight_pairs = 0u64;
-        loop {
-            let on = flight_campaign().run_streaming_with_jobs(flight_workers);
-            assert_eq!(
-                on.report.normalized().to_json().expect("report serializes"),
-                reference,
-                "the flight recorder must not change the report"
-            );
-            on_best = on_best.max(on.stats.cells_per_sec);
-            let off = flight_campaign().flight_capacity(0).run_streaming_with_jobs(flight_workers);
-            off_best = off_best.max(off.stats.cells_per_sec);
-            flight_pairs += 1;
-            let settled = on_best >= off_best * 0.95;
-            if (flight_pairs >= 3 && settled) || flight_pairs >= 6 {
-                break;
-            }
-        }
-        let flight_overhead_pct = 100.0 * (1.0 - on_best / off_best);
+        let (off, on) = paired_medians(
+            FLIGHT_GATE_PAIRS,
+            "the flight recorder must not change the report",
+            || run(0),
+            || run(DEFAULT_FLIGHT_CAPACITY),
+        );
+        let flight_overhead_pct = 100.0 * (1.0 - on / off);
         println!(
-            "\nflight-recorder overhead: {off_best:.0} -> {on_best:.0} cells/sec \
-             ({flight_overhead_pct:+.1}%) at ring capacity {DEFAULT_FLIGHT_CAPACITY}",
+            "\nflight-recorder overhead: {off:.0} -> {on:.0} cells/sec \
+             ({flight_overhead_pct:+.1}%, medians of {FLIGHT_GATE_PAIRS}) at ring capacity \
+             {DEFAULT_FLIGHT_CAPACITY}",
         );
         assert!(
             flight_overhead_pct < 5.0,
@@ -552,11 +587,11 @@ fn main() {
              measured {flight_overhead_pct:.1}%"
         );
         flight_entries.push(FlightBench {
-            cells: baseline.report.cells,
-            workers: baseline.stats.workers,
+            cells: flight_campaign().grid().shard_len(None),
+            workers: flight_workers as u64,
             capacity: DEFAULT_FLIGHT_CAPACITY as u64,
-            recorder_off_cells_per_sec: off_best,
-            recorder_on_cells_per_sec: on_best,
+            recorder_off_cells_per_sec: off,
+            recorder_on_cells_per_sec: on,
             overhead_pct: flight_overhead_pct,
         });
     }
@@ -598,58 +633,46 @@ fn main() {
         // Checkpoint overhead on the same grid: journaling at the
         // default fold interval must cost < 10% of throughput. The
         // journal reuses the plain run's worker count so the two
-        // pipelines differ only in the journal writes. Each side is
-        // measured best-of-3 with the runs interleaved: shared machines
-        // see multi-hundred-millisecond scheduler noise on a ~1.5 s
-        // run, so a single back-to-back pair routinely reports 2-25%
-        // for the same binary. The paired minima estimate the true
-        // floor of each pipeline; the gate compares those.
+        // pipelines differ only in the journal writes.
         let journal = std::env::temp_dir()
             .join(format!("hvsim-table3-{}.journal", std::process::id()));
-        eprintln!("streaming the synthetic grid again with a checkpoint journal ...");
+        eprintln!(
+            "streaming the synthetic grid with and without a checkpoint journal \
+             ({CHECKPOINT_GATE_PAIRS} pairs) ..."
+        );
         let ckpt_registry = MetricsRegistry::new();
-        let mut plain_best = stats.cells_per_sec;
-        let mut ckpt_best = 0.0f64;
-        let mut journal_bytes;
-        let mut ckpt_runs = 0u64;
-        // Best-of-3 interleaved pairs, extended up to best-of-6 when
-        // the gate would otherwise fail: on a busy shared machine all
-        // three checkpointed runs can be unlucky at once, and extra
-        // paired samples converge both minima to their true floors.
-        loop {
-            let ckpt = synthetic_campaign(SYNTHETIC_SEED, trials)
-                .jobs(workers)
-                .metrics(ckpt_registry.clone())
-                .run_streaming_checkpointed(&journal)
-                .expect("checkpoint journal opens in temp dir");
-            assert_eq!(
-                ckpt.report.normalized().to_json().expect("report serializes"),
-                outcome.report.normalized().to_json().expect("report serializes"),
-                "journaling must not change the report"
-            );
-            ckpt_best = ckpt_best.max(ckpt.stats.cells_per_sec);
-            ckpt_runs += 1;
-            journal_bytes = std::fs::metadata(&journal).map(|m| m.len()).unwrap_or(0);
-            let rerun = synthetic_campaign(SYNTHETIC_SEED, trials)
-                .metrics(plain_registry.clone())
-                .run_streaming_with_jobs(workers);
-            plain_best = plain_best.max(rerun.stats.cells_per_sec);
-            let settled = ckpt_best >= plain_best * 0.90;
-            if (ckpt_runs >= 3 && settled) || ckpt_runs >= 6 {
-                break;
-            }
-        }
+        let mut journal_bytes = 0;
+        let (plain_median, ckpt_median) = paired_medians(
+            CHECKPOINT_GATE_PAIRS,
+            "journaling must not change the report",
+            || {
+                let plain = synthetic_campaign(SYNTHETIC_SEED, trials)
+                    .metrics(plain_registry.clone())
+                    .run_streaming_with_jobs(workers);
+                Sample::of(&plain)
+            },
+            || {
+                let ckpt = synthetic_campaign(SYNTHETIC_SEED, trials)
+                    .jobs(workers)
+                    .metrics(ckpt_registry.clone())
+                    .run_streaming_checkpointed(&journal)
+                    .expect("checkpoint journal opens in temp dir");
+                journal_bytes = std::fs::metadata(&journal).map(|m| m.len()).unwrap_or(0);
+                Sample::of(&ckpt)
+            },
+        );
         let snapshot = ckpt_registry.snapshot();
         // All checkpointed runs fed one registry; report one run's syncs.
         let fsyncs = snapshot
             .counters
             .iter()
             .find(|c| c.name == "campaign.checkpoint.syncs")
-            .map_or(0, |c| c.value / ckpt_runs.max(1));
-        let overhead_pct = 100.0 * (1.0 - ckpt_best / plain_best);
+            .map_or(0, |c| c.value / CHECKPOINT_GATE_PAIRS as u64);
+        let overhead_pct = 100.0 * (1.0 - ckpt_median / plain_median);
         println!(
-            "checkpoint overhead: {plain_best:.0} -> {ckpt_best:.0} cells/sec \
-             ({overhead_pct:+.1}%), {journal_bytes} journal bytes, {fsyncs} fsyncs",
+            "checkpoint overhead: {plain_median:.0} -> {ckpt_median:.0} cells/sec \
+             ({overhead_pct:+.1}%, medians of {CHECKPOINT_GATE_PAIRS}), \
+             {journal_bytes} journal bytes, {fsyncs} fsyncs",
         );
         assert!(
             overhead_pct < 10.0,
@@ -661,8 +684,8 @@ fn main() {
             workers: stats.workers,
             interval: 1024,
             journal_slots: false,
-            plain_cells_per_sec: plain_best,
-            checkpointed_cells_per_sec: ckpt_best,
+            plain_cells_per_sec: plain_median,
+            checkpointed_cells_per_sec: ckpt_median,
             overhead_pct,
             journal_bytes,
             sidecar_bytes: 0,
@@ -686,7 +709,7 @@ fn main() {
         let slots_journal_bytes = std::fs::metadata(&journal).map(|m| m.len()).unwrap_or(0);
         std::fs::remove_file(&journal).ok();
         std::fs::remove_file(&sidecar).ok();
-        let slots_overhead = 100.0 * (1.0 - slots.stats.cells_per_sec / plain_best);
+        let slots_overhead = 100.0 * (1.0 - slots.stats.cells_per_sec / plain_median);
         println!(
             "  with --journal-slots: {:.0} cells/sec ({slots_overhead:+.1}%), \
              +{sidecar_bytes} sidecar bytes",
@@ -697,7 +720,7 @@ fn main() {
             workers: slots.stats.workers,
             interval: 1024,
             journal_slots: true,
-            plain_cells_per_sec: plain_best,
+            plain_cells_per_sec: plain_median,
             checkpointed_cells_per_sec: slots.stats.cells_per_sec,
             overhead_pct: slots_overhead,
             journal_bytes: slots_journal_bytes,
@@ -762,8 +785,8 @@ fn main() {
     }
 
     if let Some(path) = &opts.report_out {
-        // The *normalized* report: per-cell timing and COW/TLB stats
-        // zeroed, so runs at different jobs levels or TLB settings must
+        // The *normalized* report: per-cell timing and COW stats
+        // zeroed, so runs at different jobs levels or chunk sizes must
         // produce byte-identical files (CI diffs them), and normalized
         // streamed shard reports merge into normalized wholes.
         let json = report_json.expect("report captured when --report-out is set");
@@ -795,5 +818,59 @@ fn main() {
                 exit(1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+
+    #[test]
+    fn paired_medians_runs_both_sides_equally_and_alternates_the_order() {
+        let order = RefCell::new(Vec::new());
+        let sample = |side: &'static str, cells_per_sec: f64| {
+            order.borrow_mut().push(side);
+            Sample { cells_per_sec, report: "same".to_owned() }
+        };
+        let mut off_rate = 0.0;
+        let mut on_rate = 100.0;
+        let (off, on) = paired_medians(
+            4,
+            "reports differ",
+            || {
+                off_rate += 1.0;
+                sample("off", off_rate)
+            },
+            || {
+                on_rate += 10.0;
+                sample("on", on_rate)
+            },
+        );
+        assert_eq!(
+            *order.borrow(),
+            ["off", "on", "on", "off", "off", "on", "on", "off"],
+            "each pair runs both sides, the first slot alternating"
+        );
+        // off saw 1..=4 and on 110..=140: medians of equal-sized samples.
+        assert_eq!(off, 2.5);
+        assert_eq!(on, 125.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "reports differ")]
+    fn paired_medians_rejects_a_changed_report() {
+        paired_medians(
+            1,
+            "reports differ",
+            || Sample { cells_per_sec: 1.0, report: "a".to_owned() },
+            || Sample { cells_per_sec: 1.0, report: "b".to_owned() },
+        );
+    }
+
+    #[test]
+    fn median_handles_odd_and_even_counts() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 2.5);
     }
 }

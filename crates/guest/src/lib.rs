@@ -55,4 +55,4 @@ pub use process::{Process, Uid};
 pub use txn::{TxnCheckReport, TxnStore};
 pub use vdso::{is_vdso_page, vdso_image, Backdoor, BACKDOOR_MAGIC, VDSO_ENTRY_OFFSET, VDSO_MAGIC};
 pub use vfs::{FileMode, Vfs, VfsError};
-pub use world::{BootError, BootStage, HandlerOutcome, World, WorldBuilder, WorldError};
+pub use world::{BootError, BootStage, HandlerOutcome, TlbStats, World, WorldBuilder, WorldError};

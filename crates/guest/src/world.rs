@@ -297,6 +297,16 @@ impl WorldBuilder {
     }
 }
 
+/// Translation-cache counters returned by [`World::tlb_stats`]; both
+/// are always zero, since no translation cache exists.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TlbStats {
+    /// Translations served from a cache.
+    pub hits: u64,
+    /// Translations that missed a cache.
+    pub misses: u64,
+}
+
 /// Hypervisor, guests and attacker network in one deterministic unit.
 #[derive(Clone, Debug)]
 pub struct World {
@@ -332,15 +342,11 @@ impl World {
         self.hv.mem().snapshot_stats()
     }
 
-    /// Software-TLB hit/miss counters of this world's hypervisor.
-    pub fn tlb_stats(&self) -> hvsim::TlbStats {
-        self.hv.tlb_stats()
-    }
-
-    /// Enables or disables the software TLB (the `--no-tlb` escape
-    /// hatch); translations are identical either way.
-    pub fn set_tlb_enabled(&mut self, enabled: bool) {
-        self.hv.set_tlb_enabled(enabled);
+    /// Always zero: translations are raw page walks and nothing caches
+    /// them. Kept only because the `perfbench` benchmark package reads
+    /// it for its `paging.tlb_*_per_cell` ledger entries.
+    pub fn tlb_stats(&self) -> TlbStats {
+        TlbStats::default()
     }
 
     /// The privileged control domain.
